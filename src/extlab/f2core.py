@@ -8,6 +8,12 @@ Conventions, fixed repo-wide:
 * A :class:`BitMatrix` with ``rows`` rows and ``cols`` columns represents a
   linear map F2^cols -> F2^rows.  Vectors are columns and maps act on the
   left: ``(m @ v)`` has bit ``i`` equal to ``<row_i, v>``.
+* Code that builds a map one column at a time (free-module differentials,
+  chain lifts, induced actions) may instead hold it as a *column list*: a
+  sequence whose entry ``j`` is the image of basis vector ``j``.  The
+  product with a vector is then :func:`combine`, the XOR of the columns
+  picked out by the set bits of ``v``; it costs O(popcount v) XORs where
+  ``BitMatrix.mul_vec`` costs O(rows), and needs no conversion to rows.
 * All outputs are canonical: rref is the unique reduced row-echelon form,
   ``solve`` returns the unique solution supported on pivot columns, and
   quotient complements are spanned by the non-pivot coordinates.  Everything
@@ -18,6 +24,7 @@ Matrices and subspaces are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -26,8 +33,14 @@ class F2Error(ValueError):
     """Dimension mismatch or malformed input to a GF(2) operation."""
 
 
-def popcount_parity(x: int) -> int:
-    return x.bit_count() & 1
+def combine(columns: Sequence[int], v: int) -> int:
+    """m @ v for the matrix m whose j-th column is ``columns[j]``."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= columns[low.bit_length() - 1]
+        v ^= low
+    return acc
 
 
 def vector_to_bits(v: int, n: int) -> list[int]:
@@ -262,13 +275,24 @@ class Subspace:
         return self.reduce(v) == 0
 
     def coordinates(self, v: int) -> Optional[int]:
-        """Coefficients of v over the basis rows, or None if v is outside."""
+        """Coefficients of v over the basis rows, or None if v is outside.
+
+        Each pivot column of the reduced basis holds a single 1, so the
+        coefficient of row i is v's bit at pivot i; v lies in the subspace
+        exactly when those coefficients recombine to v.  The set bits of v
+        are visited, so the cost follows popcount(v), not the rank.
+        """
+        pivots = self.pivots
         coords = 0
-        for i, (row, p) in enumerate(zip(self.basis.data, self.pivots)):
-            if (v >> p) & 1:
-                v ^= row
+        rest = v
+        while rest:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            i = bisect_left(pivots, p)
+            if i < len(pivots) and pivots[i] == p:
                 coords |= 1 << i
-        return coords if v == 0 else None
+            rest ^= low
+        return coords if combine(self.basis.data, coords) == v else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -341,7 +365,6 @@ class Solver:
     def __init__(self, m: BitMatrix):
         aug = [r | (1 << (m.cols + i)) for i, r in enumerate(m.data)]
         data, pivots = _rref_rows(aug, m.cols)
-        mask = (1 << m.cols) - 1
         self.matrix = m
         self._transform = [r >> m.cols for r in data]
         self._pivots = pivots

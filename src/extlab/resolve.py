@@ -19,17 +19,22 @@ so round-trips are byte-exact.
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from .f2core import BitMatrix, EchelonAccumulator, Subspace, kernel_basis, rank as f2rank, rref
+from .f2core import (
+    BitMatrix, EchelonAccumulator, Subspace, combine, kernel_basis, rank as f2rank, rref,
+)
 from .gradedmod import GradedModule
 from .steenrod import AlgebraElement, AlgebraTable, Monomial
 
 FORMAT_VERSION = 1
 MAGIC = "EXTLAB1"
+
+logger = logging.getLogger(__name__)
 
 
 class CacheError(ValueError):
@@ -54,52 +59,80 @@ class FreeIndexer:
     Generators are appended in non-decreasing degree order; the degree-t
     basis is (generator, admissible monomial of degree t - gen_degree) in
     generator-major order, monomials in the canonical algebra order.
+
+    The blocks and the dimension of each degree are tabulated on first use.
+    ``add_generator`` clears the table, because a new generator changes every
+    degree at or above its own.
     """
 
-    __slots__ = ("algebra", "gen_degrees")
+    __slots__ = ("algebra", "gen_degrees", "_table")
 
     def __init__(self, algebra: AlgebraTable):
         self.algebra = algebra
         self.gen_degrees: list[int] = []
+        self._table: dict[int, tuple[list[tuple[int, int, int]], int]] = {}
 
     def add_generator(self, t: int) -> int:
         if self.gen_degrees and t < self.gen_degrees[-1]:
             raise ValueError("generators must be added in non-decreasing degree")
         self.gen_degrees.append(t)
+        self._table.clear()
         return len(self.gen_degrees) - 1
 
     def gens_in_degree(self, t: int) -> list[int]:
         return [g for g, d in enumerate(self.gen_degrees) if d == t]
 
+    def _degree(self, t: int) -> tuple[list[tuple[int, int, int]], int]:
+        """(blocks, dimension) of degree t, from the table."""
+        got = self._table.get(t)
+        if got is None:
+            alg = self.algebra
+            blocks = []
+            off = 0
+            for g, d in enumerate(self.gen_degrees):
+                if d > t:
+                    break  # degrees are non-decreasing
+                blocks.append((g, d, off))
+                off += alg.dim(t - d)
+            got = self._table[t] = (blocks, off)
+        return got
+
     def dim(self, t: int) -> int:
         if t < 0:
             return 0
-        alg = self.algebra
-        return sum(alg.dim(t - d) for d in self.gen_degrees if d <= t)
+        return self._degree(t)[1]
 
     def offset(self, g: int, t: int) -> int:
-        alg = self.algebra
-        off = 0
-        for h in range(g):
-            d = self.gen_degrees[h]
-            if d <= t:
-                off += alg.dim(t - d)
-        return off
+        blocks, dim = self._degree(t)
+        return blocks[g][2] if g < len(blocks) else dim
 
     def blocks(self, t: int) -> list[tuple[int, int, int]]:
         """(generator, generator degree, offset) for each block in degree t."""
-        alg = self.algebra
-        out = []
-        off = 0
-        for g, d in enumerate(self.gen_degrees):
-            if d > t:
-                break  # degrees are non-decreasing
-            out.append((g, d, off))
-            off += alg.dim(t - d)
-        return out
+        return self._degree(t)[0]
 
     def position(self, g: int, mono: Monomial, t: int) -> int:
         return self.offset(g, t) + self.algebra.index(mono)
+
+    def map_columns(self, t: int, image, apply_sq, memo: dict[int, list[int]]) -> list[int]:
+        """Degree-t columns of the module map sending generator g to image(g).
+
+        The column of (g, mono) is Sq^{mono[0]} applied, by
+        ``apply_sq(k, t, vec)`` in target coordinates, to the column of
+        (g, mono[1:]); ``memo`` holds the columns of each degree built so far.
+        """
+        cols = memo.get(t)
+        if cols is None:
+            cols = []
+            for g, d, _ in self.blocks(t):
+                if d == t:
+                    cols.append(image(g))
+                    continue
+                for mono in self.algebra.basis(t - d):
+                    k = mono[0]
+                    below = self.map_columns(t - k, image, apply_sq, memo)
+                    cols.append(apply_sq(k, t - k, below[self.position(g, mono[1:], t - k)]))
+            memo[t] = cols
+        return cols
 
     def basis(self, t: int) -> list[tuple[int, Monomial]]:
         out = []
@@ -113,13 +146,13 @@ class FreeIndexer:
             return vec
         alg = self.algebra
         out = 0
-        out_blocks = {g: off for g, _, off in self.blocks(t + k)}
-        for g, d, off in self.blocks(t):
-            size = alg.dim(t - d)
-            block = (vec >> off) & ((1 << size) - 1)
+        out_blocks = self.blocks(t + k)
+        for g, d, off in reversed(self.blocks(t)):
+            block = vec >> off
             if not block:
                 continue
-            out_off = out_blocks[g]
+            vec ^= block << off
+            out_off = out_blocks[g][2]
             acc = 0
             while block:
                 low = block & -block
@@ -161,11 +194,6 @@ class ExtChart:
         if 0 <= s <= self.max_s and 0 <= t <= self.max_t:
             return self.dims[s][t]
         return 0
-
-    def boundary_safe_max_t(self) -> int:
-        """Entries are trusted at every (s, t) of the table, but consumers
-        chasing boundary maps across the top column must drop one degree."""
-        return self.max_t - 1
 
     def total(self) -> int:
         return sum(sum(row) for row in self.dims)
@@ -216,7 +244,7 @@ class Resolution:
         self.indexers = [FreeIndexer(module.algebra) for _ in range(max_s + 1)]
         self.diffs: list[list[dict[int, AlgebraElement]]] = [[] for _ in range(max_s + 1)]
         self.aug_vectors: list[int] = []
-        self._cols: dict[tuple[int, int], list[int]] = {}
+        self._cols: list[dict[int, list[int]]] = [{} for _ in range(max_s + 1)]
 
     # -- structure queries ---------------------------------------------------
 
@@ -237,33 +265,16 @@ class Resolution:
 
     def diff_columns(self, s: int, t: int) -> list[int]:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
-        key = (s, t)
-        cols = self._cols.get(key)
-        if cols is not None:
-            return cols
-        cols = []
-        indexer = self.indexers[s]
-        alg = self.algebra
-        for g, d, _ in indexer.blocks(t):
-            if d == t:
-                cols.append(self._gen_target_vector(s, g))
-                continue
-            for mono in alg.basis(t - d):
-                k = mono[0]
-                sub = self.diff_columns(s, t - k)
-                pos = indexer.position(g, mono[1:], t - k)
-                cols.append(self._apply_ambient_sq(s, k, t - k, sub[pos]))
-        self._cols[key] = cols
-        return cols
+        return self.indexers[s].map_columns(
+            t, lambda g: self.gen_target(s, g), lambda k, td, v: self._apply_ambient_sq(s, k, td, v),
+            self._cols[s],
+        )
 
     def diff_matrix(self, s: int, t: int) -> BitMatrix:
         return BitMatrix.from_columns(self.diff_columns(s, t), self.ambient_dim(s, t))
 
     def gen_target(self, s: int, g: int) -> int:
         """d(g) as a vector over the previous level (module coords for s=0)."""
-        return self._gen_target_vector(s, g)
-
-    def _gen_target_vector(self, s: int, g: int) -> int:
         t = self.indexers[s].gen_degrees[g]
         if s == 0:
             return self.aug_vectors[g]
@@ -280,9 +291,7 @@ class Resolution:
         """d o d = 0 on every generator (cheap; also run outside tests)."""
         for s in range(1, self.max_s + 1):
             for g, t in enumerate(self.indexers[s].gen_degrees):
-                v = self._gen_target_vector(s, g)
-                prev = self.diff_matrix(s - 1, t)
-                if prev.mul_vec(v) != 0:
+                if combine(self.diff_columns(s - 1, t), self.gen_target(s, g)):
                     raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
 
     def verify_minimal(self) -> None:
@@ -343,7 +352,7 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                 else:
                     res.diffs[s].append(res.indexers[s - 1].element_of(r, t))
                 new_cols.append(r)
-            res._cols[(s, t)] = new_cols
+            res._cols[s][t] = new_cols
             if s < max_s:
                 kernel = kernel_basis(BitMatrix.from_columns(new_cols, ambient))
     res.verify_d_squared()
@@ -406,8 +415,9 @@ def save_resolution(res: Resolution, path: str) -> None:
 def load_resolution(path: str, module: GradedModule) -> Resolution:
     """Load and validate a cached resolution of ``module``.
 
-    Checks magic bytes, format version, the module content hash, and the
-    d o d = 0 invariant before returning.
+    Checks magic bytes, format version, the module content hash, minimality
+    and the d o d = 0 invariant before returning; any failure is a
+    :class:`CacheError`.
     """
     try:
         with open(path, "r") as fh:
@@ -467,14 +477,17 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
                 res.diffs[s][g][j] = AlgebraElement(deg, coords)
             else:
                 raise CorruptFileError(f"unexpected line {line!r}")
+        for (s, t), n in gens_counts.items():
+            if res.gen_count(s, t) != n:
+                raise CorruptFileError("generator table does not match body")
+        res.verify_minimal()
+        res.verify_d_squared()
     except CacheError:
         raise
+    except AssertionError as exc:
+        raise CorruptFileError(f"invariant fails: {exc}") from exc
     except (KeyError, ValueError, IndexError, TypeError) as exc:
         raise CorruptFileError(f"malformed cache file: {exc}") from exc
-    for (s, t), n in gens_counts.items():
-        if res.gen_count(s, t) != n:
-            raise CorruptFileError("generator table does not match body")
-    res.verify_d_squared()
     return res
 
 
@@ -489,15 +502,19 @@ def cached_resolution(
     max_t: int,
     cache_dir: Optional[str] = None,
 ) -> Resolution:
-    """Resolve through the cache: load on hit, compute and store on miss."""
+    """Resolve through the cache: load on hit, compute and store on miss.
+
+    A cache file that fails to load is logged as a warning, then recomputed
+    and overwritten.
+    """
     if cache_dir is None:
         return minimal_resolution(module, max_s, max_t)
     path = cache_path(cache_dir, module, max_s, max_t)
     if os.path.exists(path):
         try:
             return load_resolution(path, module)
-        except CacheError:
-            pass  # fall through and recompute
+        except CacheError as exc:
+            logger.warning("cache file %s is unusable (%s); recomputing it", path, exc)
     res = minimal_resolution(module, max_s, max_t)
     save_resolution(res, path)
     return res

@@ -149,16 +149,6 @@ class AlgebraTable:
             coords ^= low
         return out
 
-    def element_from_words(self, words: list[Monomial]) -> AlgebraElement:
-        """Sum of (possibly inadmissible) words of a common degree."""
-        if not words:
-            raise ValueError("cannot infer degree from an empty word list")
-        t = sum(words[0])
-        acc = self.zero(t)
-        for w in words:
-            acc = acc + self.adem_reduce(list(w))
-        return acc
-
     # -- Adem rewriting ----------------------------------------------------
 
     def adem_reduce(self, word: list[int], strategy: str = "leftmost") -> AlgebraElement:

@@ -167,3 +167,42 @@ def test_verify_json_report(capsys, tmp_path):
     assert doc["schema"] == "extlab.verify/1"
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
+
+
+F2_6_14 = ["resolve", "--module", "f2", "--max-s", "6", "--max-t", "14", "--format", "json"]
+
+
+def _tamper_coefficient(text):
+    """Flip the lowest bit of d(g_{2,2})'s first coefficient."""
+    lines = text.split("\n")
+    i = lines.index("gen 2 2 5") + 1
+    tag, j, deg, coords = lines[i].split()
+    lines[i] = f"d {j} {deg} {int(coords, 16) ^ 1:x}"
+    return "\n".join(lines)
+
+
+def _add_unit_coefficient(text):
+    """Give d(h0^2) a unit coefficient on h1."""
+    return text.replace("gen 2 0 2\nd 0 1 1\n", "gen 2 0 2\nd 0 1 1\nd 1 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [(_tamper_coefficient, "d o d != 0"), (_add_unit_coefficient, "unit coefficient")],
+)
+def test_bad_cache_file_is_logged_and_recomputed(tamper, reason, capsys, caplog, tmp_path):
+    code, fresh_out, _ = run(F2_6_14 + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    fresh_file = path.read_bytes()
+    bad = tamper(fresh_file.decode())
+    assert bad != fresh_file.decode()
+    path.write_text(bad)
+    code, out, _ = run(F2_6_14 + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == fresh_out
+    assert path.read_bytes() == fresh_file
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert name in warnings[0] and reason in warnings[0]

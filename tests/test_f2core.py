@@ -9,6 +9,7 @@ from extlab.f2core import (
     Solver,
     Subspace,
     column_space,
+    combine,
     kernel_basis,
     quotient_section,
     rank,
@@ -155,3 +156,47 @@ def test_echelon_accumulator():
 def test_rank_helper():
     assert rank(BitMatrix.identity(6)) == 6
     assert rank(BitMatrix.zero(3, 7)) == 0
+
+
+@st.composite
+def matrices_and_vectors(draw, max_dim=64):
+    m = draw(bit_matrices(max_dim))
+    return m, draw(st.integers(0, (1 << m.cols) - 1))
+
+
+@given(matrices_and_vectors())
+@settings(max_examples=200, deadline=None)
+def test_combine_matches_mul_vec(mv):
+    m, v = mv
+    assert combine(m.columns(), v) == m.mul_vec(v)
+
+
+def _coordinates_by_reduction(sub, v):
+    """Reduce v against the basis rows, recording which rows were used."""
+    coords = 0
+    for i, (row, p) in enumerate(zip(sub.basis.data, sub.pivots)):
+        if (v >> p) & 1:
+            v ^= row
+            coords |= 1 << i
+    return coords if v == 0 else None
+
+
+@st.composite
+def subspaces_and_vectors(draw, max_dim=48):
+    n = draw(st.integers(0, max_dim))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    sub = Subspace.from_rows(rows, n)
+    inside = combine(sub.basis.data, draw(st.integers(0, (1 << sub.rank) - 1)))
+    anywhere = draw(st.integers(0, (1 << n) - 1))
+    return sub, draw(st.sampled_from([inside, anywhere]))
+
+
+@given(subspaces_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_coordinates_match_reduction(sv):
+    sub, v = sv
+    coords = sub.coordinates(v)
+    assert coords == _coordinates_by_reduction(sub, v)
+    assert (coords is not None) == sub.contains(v)
+    if coords is not None:
+        assert combine(sub.basis.data, coords) == v

@@ -171,3 +171,18 @@ def test_module_digest_ignores_labels(alg):
     assert m1.digest() == m2.digest()
     m3 = trivial_module(alg, 6, shift=1)
     assert m1.digest() != m3.digest()
+
+
+def test_linearity_checked_over_every_generating_square(alg):
+    """Sq^4 g is reached by no Sq^1 or Sq^2, so only a check that includes
+    k = 4 sees a map that is wrong on it alone."""
+    free = free_module(alg, [0], 4)
+    mats = [BitMatrix.identity(d) for d in free.dims]
+    sq4 = alg.index((4,))
+    columns = mats[4].columns()
+    columns[sq4] ^= 1 << alg.index((3, 1))
+    mats[4] = BitMatrix.from_columns(columns, free.dims[4])
+    broken = ModuleMap(free, free, tuple(mats))
+    broken.check_linearity(ks=[1, 2])  # the old sample passes
+    with pytest.raises(ExactnessError):
+        factor_map(broken)

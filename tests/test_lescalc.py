@@ -20,6 +20,7 @@ from extlab.lescalc import (
     les_exactness_report,
 )
 from extlab.resolve import minimal_resolution
+from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 from extlab.verify import free_chart
 
@@ -229,3 +230,28 @@ def test_naturality_under_basis_permutation(alg):
         for t in range(0, max_t + 1):
             assert d1.rank(s, t) == d2.rank(s, t), (s, t)
             assert d1.mat(s, t).shape == d2.mat(s, t).shape
+
+
+def _horseshoe_by_row_matrices(lift, s, t):
+    """d^Q assembled from row matrices and per-column extraction."""
+    rs, rq = lift.res_sub, lift.res_quot
+    rows_sub = rs.indexers[s - 1].dim(t)
+    tau_m = BitMatrix.from_columns(lift.tau_columns(s, t), rows_sub)
+    dq = rq.diff_matrix(s, t)
+    cols = list(rs.diff_columns(s, t))
+    for j in range(rq.indexers[s].dim(t)):
+        cols.append(tau_m.column(j) | (dq.column(j) << rows_sub))
+    return BitMatrix.from_columns(cols, rows_sub + rq.indexers[s - 1].dim(t))
+
+
+def test_horseshoe_differential_matches_row_construction(alg):
+    fac = factor_map(scenario_map(ScenarioSpec("f", MAX_S, MAX_T), alg))
+    res = [minimal_resolution(m, MAX_S, MAX_T) for m in (fac.K, fac.I, fac.C)]
+    for ses, res_sub, res_quot in (
+        (fac.kernel_sequence(), res[0], res[1]),
+        (fac.cokernel_sequence(), res[1], res[2]),
+    ):
+        lift = horseshoe_lift(ses, res_sub, res_quot)
+        for s in range(1, MAX_S + 1):
+            for t in range(MAX_T + 1):
+                assert lift.horseshoe_differential(s, t) == _horseshoe_by_row_matrices(lift, s, t)

@@ -214,3 +214,16 @@ def test_ext_chart_helpers():
     assert chart.dim(5, 5) == 0
     assert chart.total() == 2
     assert chart.nonzero() == [(0, 0, 1), (1, 1, 1)]
+
+
+def test_free_indexer_table_follows_new_generators(alg):
+    idx = FreeIndexer(alg)
+    idx.add_generator(0)
+    assert idx.blocks(3) == [(0, 0, 0)]
+    assert idx.dim(3) == alg.dim(3)
+    idx.add_generator(2)
+    assert idx.blocks(3) == [(0, 0, 0), (1, 2, alg.dim(3))]
+    assert idx.dim(3) == alg.dim(3) + alg.dim(1)
+    assert idx.offset(1, 3) == alg.dim(3)
+    assert idx.offset(1, 1) == idx.dim(1) == alg.dim(1)  # generator 1 starts above degree 1
+
