@@ -14,6 +14,9 @@ Conventions, fixed repo-wide:
   product with a vector is then :func:`combine`, the XOR of the columns
   picked out by the set bits of ``v``; it costs O(popcount v) XORs where
   ``BitMatrix.mul_vec`` costs O(rows), and needs no conversion to rows.
+  :func:`image_and_kernel` takes a column list too: one elimination gives
+  the image span and the same canonical kernel basis as
+  :func:`kernel_basis`, without building the row matrix or transposing it.
 * All outputs are canonical: rref is the unique reduced row-echelon form,
   ``solve`` returns the unique solution supported on pivot columns, and
   quotient complements are spanned by the non-pivot coordinates.  Everything
@@ -415,53 +418,98 @@ def quotient_section(ambient_dim: int, sub: Subspace) -> tuple[BitMatrix, BitMat
 
 
 class EchelonAccumulator:
-    """Mutable reduced-echelon span; the engine's complement chooser.
+    """Mutable semi-echelon span; the engine's complement chooser.
 
-    ``add`` returns the fully reduced remainder of the vector against the
-    current span (0 if dependent) and, when nonzero, inserts it while
-    keeping the stored rows reduced against each other.  Insertion order
-    determines nothing about the final span but makes remainders canonical
-    for a fixed feed order.
+    Each stored row is kept under its leading (highest) bit, and no two rows
+    share one; ``_lead`` is the mask of the leading bits.  Rows are not
+    reduced against each other.  ``reduce`` clears v's bits at leading
+    positions from the top down: a row has no bit above its own lead, so a
+    cleared bit stays clear.  The remainder lies in v + span and has no bit
+    at any leading position, and only one vector does: the difference of two
+    lies in the span and has no bit at a leading position, but every nonzero
+    vector of the span has its highest bit at one.  The leading positions
+    are the highest bits of the span's vectors, so they, and with them every
+    remainder, depend on the span alone and not on the feed order; they
+    agree bit for bit with reduction against the reduced echelon basis.
+
+    ``add`` returns the remainder (0 if v is in the span) and, when it is
+    nonzero, stores it as a row.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_pivots")
+    __slots__ = ("ambient_dim", "_rows", "_lead")
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: list[int] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, int] = {}
+        self._lead = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def reduce(self, v: int) -> int:
-        for row, p in zip(self._rows, self._pivots):
-            if (v >> p) & 1:
-                v ^= row
+        rows = self._rows
+        lead = self._lead
+        hit = v & lead
+        while hit:
+            v ^= rows[hit.bit_length() - 1]
+            hit = v & lead
         return v
 
     def add(self, v: int) -> int:
         v = self.reduce(v)
-        if v == 0:
-            return 0
-        p = v.bit_length() - 1
-        # keep earlier rows reduced against the new pivot
-        for i, row in enumerate(self._rows):
-            if (row >> p) & 1:
-                self._rows[i] = row ^ v
-        idx = 0
-        while idx < len(self._pivots) and self._pivots[idx] > p:
-            idx += 1
-        self._rows.insert(idx, v)
-        self._pivots.insert(idx, p)
+        if v:
+            p = v.bit_length() - 1
+            self._rows[p] = v
+            self._lead |= 1 << p
         return v
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     def rows(self) -> list[int]:
-        return list(self._rows)
+        """A basis of the span, leading bits descending."""
+        return [self._rows[p] for p in sorted(self._rows, reverse=True)]
 
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(list(self._rows), self.ambient_dim)
+        return Subspace.from_rows(self.rows(), self.ambient_dim)
+
+
+def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, list[int]]:
+    """The image span and the canonical kernel of a matrix given as columns.
+
+    One elimination serves both (Bruner's [d | I]): column j enters as the
+    graph vector ``(c_j << n) | 1 << (n-1-j)``, its tag bit-reversed so that
+    the highest bit stands for the lowest coordinate.  Rows led by a bit at
+    or above n carry the image in their high part, with distinct leads;
+    rows led below n have no high part and are kernel vectors, one per
+    dimension of the kernel.  Back-substitution among the kernel rows and a
+    bit reversal give ``kernel_basis(BitMatrix.from_columns(columns,
+    rows)).basis.data``, rows in the same order.
+    """
+    n = len(columns)
+    graph = EchelonAccumulator(rows + n)
+    for j, c in enumerate(columns):
+        if c >> rows:
+            raise F2Error("column has bits set beyond row count")
+        graph.add((c << n) | (1 << (n - 1 - j)))
+    image = EchelonAccumulator(rows)
+    kernel: dict[int, int] = {}
+    for p, r in graph._rows.items():
+        if p >= n:
+            image._rows[p - n] = r >> n
+            image._lead |= 1 << (p - n)
+        else:
+            kernel[p] = r
+    kmask = graph._lead & ((1 << n) - 1)
+    leads = sorted(kernel)
+    for p in leads:
+        # rows below p are already reduced, so XORing one adds no lead bit
+        r = kernel[p]
+        hit = r & kmask & ~(1 << p)
+        while hit:
+            low = hit & -hit
+            r ^= kernel[low.bit_length() - 1]
+            hit ^= low
+        kernel[p] = r
+    return image, [int(format(kernel[p], f"0{n}b")[::-1], 2) for p in reversed(leads)]

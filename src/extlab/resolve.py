@@ -1,11 +1,17 @@
 """Minimal free resolution engine.
 
 Sweeps bidegrees with t ascending and s ascending (Bruner-style).  At each
-step the kernel of the previous differential in degree t is computed, the
-part already hit by positive-degree multiples of existing generators is
-swept out, and new generators are adjoined mapping onto a canonical echelon
-complement.  Minimality holds by construction, so the generator count in
-bidegree (s, t) *is* dim Ext^{s,t}.
+(s, t) one elimination of the old columns of d_s, those of the generators of
+degree below t, yields both their image and their kernel
+(:func:`~extlab.f2core.image_and_kernel`).  The canonical kernel basis of
+d_{s-1} at t, carried over from the step before, is reduced against the
+image, and each nonzero remainder becomes a new generator mapping onto it,
+so new generators span a canonical echelon complement.  Their columns are
+independent modulo the old ones, so no combination that involves them lies
+in the kernel: ker d_s at t is the kernel of the old columns, padded with
+zeros in the new generators' coordinates (which come last), and serves the
+next s as it stands.  Minimality holds by construction, so the generator
+count in bidegree (s, t) *is* dim Ext^{s,t}.
 
 Charts report every (s, t) with s <= max_s, t <= max_t: a generator at
 (s, t) depends only on data in internal degrees <= t.  Consumers that chase
@@ -23,10 +29,11 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from .f2core import (
-    BitMatrix, EchelonAccumulator, Subspace, combine, kernel_basis, rank as f2rank, rref,
+    BitMatrix, EchelonAccumulator, combine, image_and_kernel, rank as f2rank, rref,
 )
 from .gradedmod import GradedModule
 from .steenrod import AlgebraElement, AlgebraTable, Monomial
@@ -265,10 +272,19 @@ class Resolution:
 
     def diff_columns(self, s: int, t: int) -> list[int]:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
-        return self.indexers[s].map_columns(
-            t, lambda g: self.gen_target(s, g), lambda k, td, v: self._apply_ambient_sq(s, k, td, v),
-            self._cols[s],
-        )
+        if s == 0:
+            # Sq^k at degree td serves only the build of degree td + k, which
+            # happens once, so its columns are kept for this call alone.
+            actions: dict[tuple[int, int], list[int]] = {}
+
+            def apply_sq(k: int, td: int, vec: int) -> int:
+                cols = actions.get((k, td))
+                if cols is None:
+                    cols = actions[(k, td)] = self.module.action(k, td).columns()
+                return combine(cols, vec)
+        else:
+            apply_sq = self.indexers[s - 1].apply_sq
+        return self.indexers[s].map_columns(t, lambda g: self.gen_target(s, g), apply_sq, self._cols[s])
 
     def diff_matrix(self, s: int, t: int) -> BitMatrix:
         return BitMatrix.from_columns(self.diff_columns(s, t), self.ambient_dim(s, t))
@@ -279,11 +295,6 @@ class Resolution:
         if s == 0:
             return self.aug_vectors[g]
         return self.indexers[s - 1].vector_of(self.diffs[s][g], t)
-
-    def _apply_ambient_sq(self, s: int, k: int, t: int, vec: int) -> int:
-        if s == 0:
-            return self.module.action(k, t).mul_vec(vec)
-        return self.indexers[s - 1].apply_sq(k, t, vec)
 
     # -- verification ----------------------------------------------------------
 
@@ -302,6 +313,24 @@ class Resolution:
                     if elem.degree == 0 and not elem.is_zero():
                         raise AssertionError(
                             f"unit coefficient on generator {j} in d(g_{s},{g})"
+                        )
+
+    def verify_independent(self) -> None:
+        """The new generators of each bidegree map independently of the
+        older columns, so none of them is redundant."""
+        for s in range(self.max_s + 1):
+            degrees = self.indexers[s].gen_degrees
+            for t, group in groupby(range(len(degrees)), key=degrees.__getitem__):
+                gens = list(group)
+                cols = self.diff_columns(s, t)  # the new generators' columns come last
+                acc = EchelonAccumulator(self.ambient_dim(s, t))
+                for c in cols[:-len(gens)]:
+                    acc.add(c)
+                for g, c in zip(gens, cols[-len(gens):]):
+                    if not acc.add(c):
+                        raise AssertionError(
+                            f"generator {g} at (s={s}, t={t}) is redundant: "
+                            "its image lies in the span of the older columns"
                         )
 
     def verify_exactness(self) -> None:
@@ -329,20 +358,13 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
     degree max_t."""
     res = Resolution(module, max_s, max_t)
     for t in range(max_t + 1):
-        kernel: Optional[Subspace] = None  # of d_{s-1} at degree t
+        candidates = [1 << j for j in range(module.dim(t))]  # then ker d_{s-1} at t
         for s in range(max_s + 1):
-            ambient = res.ambient_dim(s, t)
             cols = res.diff_columns(s, t)  # columns over old generators only
-            acc = EchelonAccumulator(ambient)
-            for c in cols:
-                acc.add(c)
-            if s == 0:
-                candidates = [1 << j for j in range(module.dim(t))]
-            else:
-                candidates = list(kernel.basis.data) if kernel is not None else []
+            image, kernel = image_and_kernel(cols, res.ambient_dim(s, t))
             new_cols = list(cols)
             for v in candidates:
-                r = acc.add(v)
+                r = image.add(v)
                 if r == 0:
                     continue
                 g = res.indexers[s].add_generator(t)
@@ -353,8 +375,7 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                     res.diffs[s].append(res.indexers[s - 1].element_of(r, t))
                 new_cols.append(r)
             res._cols[s][t] = new_cols
-            if s < max_s:
-                kernel = kernel_basis(BitMatrix.from_columns(new_cols, ambient))
+            candidates = kernel
     res.verify_d_squared()
     return res
 
@@ -415,9 +436,11 @@ def save_resolution(res: Resolution, path: str) -> None:
 def load_resolution(path: str, module: GradedModule) -> Resolution:
     """Load and validate a cached resolution of ``module``.
 
-    Checks magic bytes, format version, the module content hash, minimality
-    and the d o d = 0 invariant before returning; any failure is a
-    :class:`CacheError`.
+    Checks magic bytes, format version, the module content hash, minimality,
+    the d o d = 0 invariant and that no generator is redundant before
+    returning; any failure is a :class:`CacheError`.  A file that lacks a
+    generator passes every check: catching that needs exactness, which costs
+    about as much as resolving again.
     """
     try:
         with open(path, "r") as fh:
@@ -482,6 +505,7 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
                 raise CorruptFileError("generator table does not match body")
         res.verify_minimal()
         res.verify_d_squared()
+        res.verify_independent()
     except CacheError:
         raise
     except AssertionError as exc:

@@ -206,3 +206,31 @@ def test_bad_cache_file_is_logged_and_recomputed(tamper, reason, capsys, caplog,
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert name in warnings[0] and reason in warnings[0]
+
+
+def _duplicate_top_generator(text):
+    """Repeat the block of g_{3,1} (degree 6) as a second generator g_{3,2}."""
+    head, block = text.removesuffix("end\n").split("gen 3 1 6\n")
+    head = head.replace("gens 3 6 1\n", "gens 3 6 2\n")
+    return f"{head}gen 3 1 6\n{block}gen 3 2 6\n{block}end\n"
+
+
+def test_redundant_generator_in_cache_is_logged_and_recomputed(capsys, caplog, tmp_path):
+    argv = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code, fresh_out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(fresh_out)["dims"][3][6] == 1
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    fresh_file = path.read_bytes()
+    bad = _duplicate_top_generator(fresh_file.decode())
+    assert bad.count("gen 3 2 6\n") == 1 and "gens 3 6 2\n" in bad
+    path.write_text(bad)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == fresh_out
+    assert path.read_bytes() == fresh_file
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert name in warnings[0] and "generator 2 at (s=3, t=6) is redundant" in warnings[0]

@@ -10,6 +10,7 @@ from extlab.f2core import (
     Subspace,
     column_space,
     combine,
+    image_and_kernel,
     kernel_basis,
     quotient_section,
     rank,
@@ -200,3 +201,60 @@ def test_coordinates_match_reduction(sv):
     assert (coords is not None) == sub.contains(v)
     if coords is not None:
         assert combine(sub.basis.data, coords) == v
+
+
+@st.composite
+def column_lists(draw, max_dim=40):
+    """Column lists with zero and repeated columns mixed in; rows or n may be 0."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.lists(st.integers(0, (1 << rows) - 1), max_size=max_dim))
+    picks = draw(st.lists(st.integers(0, len(cols) + 1), max_size=max_dim))
+    mixed = [0 if i == len(cols) or not cols else cols[i % len(cols)] for i in picks]
+    return draw(st.permutations(cols + mixed)), rows
+
+
+@given(column_lists())
+@settings(max_examples=300, deadline=None)
+def test_image_and_kernel_match_kernel_basis(cr):
+    cols, rows = cr
+    m = BitMatrix.from_columns(cols, rows)
+    image, kernel = image_and_kernel(cols, rows)
+    assert kernel == list(kernel_basis(m).basis.data)
+    assert image.subspace() == column_space(m)
+
+
+def test_image_and_kernel_edges():
+    assert image_and_kernel([], 0)[1] == []
+    assert image_and_kernel([], 3)[0].rank == 0
+    assert image_and_kernel([0, 0], 0)[1] == [0b01, 0b10]
+    assert image_and_kernel([0b11, 0b11, 0b01], 2)[1] == [0b011]
+    with pytest.raises(F2Error):
+        image_and_kernel([0b100], 2)
+
+
+@st.composite
+def spans_and_vectors(draw, max_dim=20, max_rank=7):
+    n = draw(st.integers(0, max_dim))
+    span = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_rank))
+    return span, draw(st.permutations(span)), draw(st.integers(0, (1 << n) - 1)), n
+
+
+@given(spans_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_accumulator_remainder_is_canonical(svn):
+    span, shuffled, v, n = svn
+    elements = {combine(span, c) for c in range(1 << len(span))}
+    leads = 0
+    for x in elements - {0}:
+        leads |= 1 << (x.bit_length() - 1)
+    remainders = []
+    for order in (span, shuffled):
+        acc = EchelonAccumulator(n)
+        for x in order:
+            acc.add(x)
+        remainders.append(acc.reduce(v))
+        assert acc.add(v) == remainders[-1]
+    r = remainders[0]
+    assert remainders[1] == r
+    assert r ^ v in elements
+    assert r & leads == 0

@@ -1,0 +1,42 @@
+"""Pinned bytes of the canonical outputs.
+
+Other tests compare two runs of the current code with each other, which
+would not notice the canonical form drifting.  These sha256 values were
+taken from the resolver before it switched to one elimination per bidegree.
+"""
+
+import hashlib
+import os
+
+from extlab.cli import main
+from extlab.gradedmod import trivial_module
+from extlab.resolve import minimal_resolution, serialize_resolution
+from extlab.steenrod import AlgebraTable
+
+F2_10_26 = "54fcf78e1e37db1d89f5707edf659ed0faa9723dc801d225d5f8eb0a81a09b47"
+SCENARIO_F_10_26_STDOUT = "ecd9fee6a1add339e9cc80207e968af10c9c06df57c7b71eda386ccc15468a36"
+SCENARIO_F_10_26_CACHE = {
+    F2_10_26,
+    "218f1caf93ae8e14e299b6b18cdb61813863ba114a33092ff00de0629cf17fa4",
+    "42eec5120345477a2c121e94384c00cd29e4436ffb8295110e428cba5eb2de9a",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_f2_resolution_bytes():
+    res = minimal_resolution(trivial_module(AlgebraTable(26), 26), 10, 26)
+    assert _sha256(serialize_resolution(res).encode()) == F2_10_26
+
+
+def test_scenario_f_stdout_and_cache_bytes(capsys, tmp_path):
+    code = main(["scenario", "--kind", "f", "--max-s", "10", "--max-t", "26",
+                 "--format", "json", "--cache-dir", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert _sha256(out.encode()) == SCENARIO_F_10_26_STDOUT
+    files = sorted(os.listdir(tmp_path))
+    assert len(files) == 3
+    assert {_sha256((tmp_path / name).read_bytes()) for name in files} == SCENARIO_F_10_26_CACHE
