@@ -164,12 +164,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_columns(self.data, self.cols)
 
-    def hstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.rows != other.rows:
-            raise F2Error("row count mismatch in hstack")
-        data = [a | (b << self.cols) for a, b in zip(self.data, other.data)]
-        return BitMatrix(self.rows, self.cols + other.cols, data)
-
     def is_zero(self) -> bool:
         return not any(self.data)
 
@@ -259,10 +253,6 @@ class Subspace:
         data = [r for r in data if r]
         return cls(ambient_dim, BitMatrix(len(data), ambient_dim, data), tuple(pivots))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, BitMatrix.identity(ambient_dim), tuple(range(ambient_dim)))
-
     @property
     def rank(self) -> int:
         return self.basis.rows
@@ -332,7 +322,11 @@ def column_space(m: BitMatrix) -> Subspace:
 
 
 def rank(m: BitMatrix) -> int:
-    return rref(m).rank
+    """Rank of m, read from a semi-echelon span of its rows."""
+    acc = EchelonAccumulator(m.cols)
+    for r in m.data:
+        acc.add(r)
+    return acc.rank
 
 
 def solve(m: BitMatrix, b: int) -> Optional[int]:

@@ -1,9 +1,15 @@
 """Degreewise-finite graded left modules over the Steenrod algebra.
 
 A module is stored as dimensions per degree plus one action matrix per
-(Sq^k, source degree); a map is one matrix per degree.  Everything is only
-meaningful up to the construction bound ``max_t``: consumers must propagate
-that margin.  Construction of kernels, images and cokernels is degreewise
+(Sq^k, source degree); a map is one matrix per degree.  Free modules, and
+every P_s of a resolution, keep their basis order in a :class:`FreeIndexer`:
+(generator, admissible monomial) in generator-major order.  Its initial
+generators may come in any degree order; ``add_generator``, with which a
+resolution grows, appends in non-decreasing degree.  Its ``map_columns`` is
+the one routine that builds the columns of a map out of a free module.
+
+Everything is only meaningful up to the construction bound ``max_t``:
+consumers must propagate that margin.  Construction of kernels, images and cokernels is degreewise
 GF(2) linear algebra followed by transport of the action, mirroring how the
 long exact cohomology sequence of a map gets cut into short exact sequences.
 """
@@ -22,7 +28,7 @@ from .f2core import (
     quotient_section,
     rank as f2rank,
 )
-from .steenrod import AlgebraTable, Monomial
+from .steenrod import AlgebraElement, AlgebraTable, Monomial
 
 
 class ExactnessError(RuntimeError):
@@ -37,12 +43,11 @@ class GradedModule:
 
     ``actions[(k, t)]`` is the matrix of Sq^k from degree t to degree t+k;
     missing keys mean the zero map.  ``labels[t]`` are display names for the
-    degree-t basis.  ``free_shifts`` is set for free modules, whose degree-t
-    basis is (generator g, admissible monomial of degree t - shift(g)) in
-    generator-major order.
+    degree-t basis.  ``free_basis`` is set for free modules: the
+    :class:`FreeIndexer` that orders their basis.
     """
 
-    __slots__ = ("algebra", "max_t", "dims", "labels", "free_shifts", "_actions", "_digest")
+    __slots__ = ("algebra", "max_t", "dims", "labels", "free_basis", "_actions", "_digest")
 
     def __init__(
         self,
@@ -51,7 +56,7 @@ class GradedModule:
         dims: Sequence[int],
         actions: dict[tuple[int, int], BitMatrix],
         labels: Optional[Sequence[Sequence[str]]] = None,
-        free_shifts: Optional[tuple[int, ...]] = None,
+        free_basis: Optional[FreeIndexer] = None,
     ):
         if max_t < 0:
             raise ValueError("max_t must be non-negative")
@@ -69,7 +74,7 @@ class GradedModule:
         if labels is None:
             labels = [tuple(f"e{t}_{i}" for i in range(self.dims[t])) for t in range(max_t + 1)]
         self.labels = tuple(tuple(l) for l in labels)
-        self.free_shifts = free_shifts
+        self.free_basis = free_basis
         self._digest: Optional[str] = None
 
     def dim(self, t: int) -> int:
@@ -82,6 +87,19 @@ class GradedModule:
         if mat is None:
             mat = BitMatrix.zero(self.dim(t + k), self.dims[t])
         return mat
+
+    def column_action(self):
+        """``apply_sq(k, t, vec)``: Sq^k on a degree-t vector, combined over
+        the columns of ``action(k, t)``, which each applier keeps once taken."""
+        columns: dict[tuple[int, int], list[int]] = {}
+
+        def apply_sq(k: int, t: int, vec: int) -> int:
+            cols = columns.get((k, t))
+            if cols is None:
+                cols = columns[(k, t)] = self.action(k, t).columns()
+            return combine(cols, vec)
+
+        return apply_sq
 
     def digest(self) -> str:
         """Content hash of (max_t, dims, actions); labels are presentation only."""
@@ -182,40 +200,170 @@ def trivial_module(algebra: AlgebraTable, max_t: int, shift: int = 0) -> GradedM
     return GradedModule(algebra, max_t, dims, {}, labels)
 
 
+class FreeIndexer:
+    """Basis bookkeeping for a free module on an ordered generator list.
+
+    The degree-t basis is (generator, admissible monomial of degree
+    t - gen_degree) in generator-major order, monomials in the canonical
+    algebra order.  The initial generators may come in any degree order;
+    ``add_generator`` appends in non-decreasing degree, which resolutions
+    and cache loads rely on.
+
+    The blocks of each degree, and the offset of every generator in it, are
+    tabulated on first use: ``offsets[g]`` is where generator g's block
+    starts (or would start), ``offsets[-1]`` the dimension.
+    ``add_generator`` clears the table, because a new generator changes
+    every degree at or above its own.
+    """
+
+    __slots__ = ("algebra", "gen_degrees", "_table")
+
+    def __init__(self, algebra: AlgebraTable, gen_degrees: Sequence[int] = ()):
+        self.algebra = algebra
+        self.gen_degrees: list[int] = list(gen_degrees)
+        self._table: dict[int, tuple[list[tuple[int, int, int]], list[int]]] = {}
+
+    def add_generator(self, t: int) -> int:
+        if self.gen_degrees and t < self.gen_degrees[-1]:
+            raise ValueError("generators must be added in non-decreasing degree")
+        self.gen_degrees.append(t)
+        self._table.clear()
+        return len(self.gen_degrees) - 1
+
+    def gens_in_degree(self, t: int) -> list[int]:
+        return [g for g, d in enumerate(self.gen_degrees) if d == t]
+
+    def _degree(self, t: int) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """(blocks, offsets) of degree t, from the table."""
+        got = self._table.get(t)
+        if got is None:
+            alg = self.algebra
+            blocks = []
+            offsets = []
+            off = 0
+            for g, d in enumerate(self.gen_degrees):
+                offsets.append(off)
+                if d <= t:
+                    blocks.append((g, d, off))
+                    off += alg.dim(t - d)
+            offsets.append(off)
+            got = self._table[t] = (blocks, offsets)
+        return got
+
+    def dim(self, t: int) -> int:
+        if t < 0:
+            return 0
+        return self._degree(t)[1][-1]
+
+    def offset(self, g: int, t: int) -> int:
+        return self._degree(t)[1][g]
+
+    def blocks(self, t: int) -> list[tuple[int, int, int]]:
+        """(generator, generator degree, offset) for each block in degree t."""
+        return self._degree(t)[0]
+
+    def position(self, g: int, mono: Monomial, t: int) -> int:
+        return self.offset(g, t) + self.algebra.index(mono)
+
+    def map_columns(self, t: int, image, apply_sq, memo: dict[int, list[int]]) -> list[int]:
+        """Degree-t columns of the module map sending generator g to image(g).
+
+        The column of (g, mono) is Sq^{mono[0]} applied, by
+        ``apply_sq(k, t, vec)`` in target coordinates, to the column of
+        (g, mono[1:]); ``memo`` holds the columns of each degree built so far.
+        """
+        cols = memo.get(t)
+        if cols is None:
+            cols = []
+            for g, d, _ in self.blocks(t):
+                if d == t:
+                    cols.append(image(g))
+                    continue
+                for mono in self.algebra.basis(t - d):
+                    k = mono[0]
+                    below = self.map_columns(t - k, image, apply_sq, memo)
+                    cols.append(apply_sq(k, t - k, below[self.position(g, mono[1:], t - k)]))
+            memo[t] = cols
+        return cols
+
+    def basis(self, t: int) -> list[tuple[int, Monomial]]:
+        out = []
+        for g, d, _ in self.blocks(t):
+            out.extend((g, m) for m in self.algebra.basis(t - d))
+        return out
+
+    def action_columns(self, k: int, t: int) -> list[int]:
+        """Columns of Sq^k from degree t to degree t + k."""
+        alg = self.algebra
+        out_offsets = self._degree(t + k)[1]
+        return [
+            alg.multiply_mono(k, 0, t - d, i) << out_offsets[g]
+            for g, d, _ in self.blocks(t)
+            for i in range(alg.dim(t - d))
+        ]
+
+    def apply_sq(self, k: int, t: int, vec: int) -> int:
+        """Sq^k acting on a degree-t vector of the free module."""
+        if k == 0 or vec == 0:
+            return vec
+        alg = self.algebra
+        out = 0
+        out_offsets = self._degree(t + k)[1]
+        for g, d, off in reversed(self.blocks(t)):
+            block = vec >> off
+            if not block:
+                continue
+            vec ^= block << off
+            acc = 0
+            while block:
+                low = block & -block
+                acc ^= alg.multiply_mono(k, 0, t - d, low.bit_length() - 1)
+                block ^= low
+            out |= acc << out_offsets[g]
+        return out
+
+    def element_of(self, vec: int, t: int) -> dict[int, AlgebraElement]:
+        """Split a degree-t vector into generator components."""
+        alg = self.algebra
+        out = {}
+        for g, d, off in self.blocks(t):
+            size = alg.dim(t - d)
+            block = (vec >> off) & ((1 << size) - 1)
+            if block:
+                out[g] = AlgebraElement(t - d, block)
+        return out
+
+    def vector_of(self, parts: dict[int, AlgebraElement], t: int) -> int:
+        vec = 0
+        for g, elem in parts.items():
+            d = self.gen_degrees[g]
+            if elem.degree != t - d:
+                raise ValueError("component degree mismatch")
+            vec |= elem.coords << self.offset(g, t)
+        return vec
+
+
 def free_module(algebra: AlgebraTable, shifts: Sequence[int], max_t: int) -> GradedModule:
-    """Free module on one generator per shift; basis (g, admissible monomial)."""
+    """Free module on one generator per shift, in any order; basis
+    (g, admissible monomial) as ordered by its ``free_basis``."""
     shifts = tuple(shifts)
     if any(s < 0 for s in shifts):
         raise ValueError("shifts must be non-negative")
-    dims = []
+    basis = FreeIndexer(algebra, shifts)
     labels = []
-    offsets: list[list[int]] = []  # per degree, per generator: start index
     for t in range(max_t + 1):
-        offs = []
         names = []
-        n = 0
-        for g, s in enumerate(shifts):
-            offs.append(n)
-            if s <= t:
-                for mono in algebra.basis(t - s):
-                    word = "".join(f"Sq{e}" for e in mono) or "1"
-                    names.append(f"g{g}[{s}]*{word}" if len(shifts) > 1 else word)
-                n += algebra.dim(t - s)
-        dims.append(n)
+        for g, mono in basis.basis(t):
+            word = "".join(f"Sq{e}" for e in mono) or "1"
+            names.append(f"g{g}[{shifts[g]}]*{word}" if len(shifts) > 1 else word)
         labels.append(tuple(names))
-        offsets.append(offs)
-    actions: dict[tuple[int, int], BitMatrix] = {}
-    for k in range(1, max_t + 1):
-        for t in range(0, max_t - k + 1):
-            cols = []
-            for g, s in enumerate(shifts):
-                if s > t:
-                    continue
-                off = offsets[t + k][g]
-                for i in range(algebra.dim(t - s)):
-                    cols.append(algebra.multiply_mono(k, 0, t - s, i) << off)
-            actions[(k, t)] = BitMatrix.from_columns(cols, dims[t + k])
-    return GradedModule(algebra, max_t, dims, actions, labels, free_shifts=shifts)
+    actions = {
+        (k, t): BitMatrix.from_columns(basis.action_columns(k, t), basis.dim(t + k))
+        for k in range(1, max_t + 1)
+        for t in range(0, max_t - k + 1)
+    }
+    dims = [basis.dim(t) for t in range(max_t + 1)]
+    return GradedModule(algebra, max_t, dims, actions, labels, free_basis=basis)
 
 
 def map_from_generators(
@@ -223,34 +371,25 @@ def map_from_generators(
 ) -> ModuleMap:
     """The unique linear extension of generator -> target for a free domain.
 
-    ``targets[g]`` is a codomain vector in degree ``free_shifts[g]``.
+    ``targets[g]`` is a codomain vector in the degree of generator g.
     """
-    if dom.free_shifts is None:
+    basis = dom.free_basis
+    if basis is None:
         raise ValueError("domain must be a free module")
-    shifts = dom.free_shifts
-    if len(targets) != len(shifts):
+    if len(targets) != len(basis.gen_degrees):
         raise ValueError("need one target per generator")
     bound = min(dom.max_t, codomain.max_t)
-    alg = dom.algebra
-    # image of (g, mono): built per degree from lower degrees by one Sq each
-    cache: dict[tuple[int, Monomial], int] = {}
-    mats = []
-    for t in range(bound + 1):
-        cols = []
-        for g, s in enumerate(shifts):
-            if s > t:
-                continue
-            if codomain.dim(s) < targets[g].bit_length() and targets[g]:
-                raise ValueError(f"target {g} does not live in codomain degree {s}")
-            for mono in alg.basis(t - s):
-                if not mono:
-                    v = targets[g]
-                else:
-                    v = codomain.action(mono[0], t - mono[0]).mul_vec(cache[(g, mono[1:])])
-                cache[(g, mono)] = v
-                cols.append(v)
-        mats.append(BitMatrix.from_columns(cols, codomain.dim(t)))
-    mp = ModuleMap(dom, codomain, tuple(mats))
+    for g, d in enumerate(basis.gen_degrees):
+        if d <= bound and targets[g] >> codomain.dim(d):
+            raise ValueError(f"target {g} does not live in codomain degree {d}")
+    apply_sq = codomain.column_action()
+    memo: dict[int, list[int]] = {}
+    mp = ModuleMap(dom, codomain, tuple(
+        BitMatrix.from_columns(
+            basis.map_columns(t, targets.__getitem__, apply_sq, memo), codomain.dim(t)
+        )
+        for t in range(bound + 1)
+    ))
     mp.check_linearity(ks=_generating_squares(bound))
     return mp
 

@@ -35,8 +35,8 @@ from typing import Optional
 from .f2core import (
     BitMatrix, EchelonAccumulator, combine, image_and_kernel, rank as f2rank, rref,
 )
-from .gradedmod import GradedModule
-from .steenrod import AlgebraElement, AlgebraTable, Monomial
+from .gradedmod import FreeIndexer, GradedModule
+from .steenrod import AlgebraElement
 
 FORMAT_VERSION = 1
 MAGIC = "EXTLAB1"
@@ -58,135 +58,6 @@ class VersionMismatchError(CacheError):
 
 class HashMismatchError(CacheError):
     pass
-
-
-class FreeIndexer:
-    """Basis bookkeeping for a free module on an ordered generator list.
-
-    Generators are appended in non-decreasing degree order; the degree-t
-    basis is (generator, admissible monomial of degree t - gen_degree) in
-    generator-major order, monomials in the canonical algebra order.
-
-    The blocks and the dimension of each degree are tabulated on first use.
-    ``add_generator`` clears the table, because a new generator changes every
-    degree at or above its own.
-    """
-
-    __slots__ = ("algebra", "gen_degrees", "_table")
-
-    def __init__(self, algebra: AlgebraTable):
-        self.algebra = algebra
-        self.gen_degrees: list[int] = []
-        self._table: dict[int, tuple[list[tuple[int, int, int]], int]] = {}
-
-    def add_generator(self, t: int) -> int:
-        if self.gen_degrees and t < self.gen_degrees[-1]:
-            raise ValueError("generators must be added in non-decreasing degree")
-        self.gen_degrees.append(t)
-        self._table.clear()
-        return len(self.gen_degrees) - 1
-
-    def gens_in_degree(self, t: int) -> list[int]:
-        return [g for g, d in enumerate(self.gen_degrees) if d == t]
-
-    def _degree(self, t: int) -> tuple[list[tuple[int, int, int]], int]:
-        """(blocks, dimension) of degree t, from the table."""
-        got = self._table.get(t)
-        if got is None:
-            alg = self.algebra
-            blocks = []
-            off = 0
-            for g, d in enumerate(self.gen_degrees):
-                if d > t:
-                    break  # degrees are non-decreasing
-                blocks.append((g, d, off))
-                off += alg.dim(t - d)
-            got = self._table[t] = (blocks, off)
-        return got
-
-    def dim(self, t: int) -> int:
-        if t < 0:
-            return 0
-        return self._degree(t)[1]
-
-    def offset(self, g: int, t: int) -> int:
-        blocks, dim = self._degree(t)
-        return blocks[g][2] if g < len(blocks) else dim
-
-    def blocks(self, t: int) -> list[tuple[int, int, int]]:
-        """(generator, generator degree, offset) for each block in degree t."""
-        return self._degree(t)[0]
-
-    def position(self, g: int, mono: Monomial, t: int) -> int:
-        return self.offset(g, t) + self.algebra.index(mono)
-
-    def map_columns(self, t: int, image, apply_sq, memo: dict[int, list[int]]) -> list[int]:
-        """Degree-t columns of the module map sending generator g to image(g).
-
-        The column of (g, mono) is Sq^{mono[0]} applied, by
-        ``apply_sq(k, t, vec)`` in target coordinates, to the column of
-        (g, mono[1:]); ``memo`` holds the columns of each degree built so far.
-        """
-        cols = memo.get(t)
-        if cols is None:
-            cols = []
-            for g, d, _ in self.blocks(t):
-                if d == t:
-                    cols.append(image(g))
-                    continue
-                for mono in self.algebra.basis(t - d):
-                    k = mono[0]
-                    below = self.map_columns(t - k, image, apply_sq, memo)
-                    cols.append(apply_sq(k, t - k, below[self.position(g, mono[1:], t - k)]))
-            memo[t] = cols
-        return cols
-
-    def basis(self, t: int) -> list[tuple[int, Monomial]]:
-        out = []
-        for g, d, _ in self.blocks(t):
-            out.extend((g, m) for m in self.algebra.basis(t - d))
-        return out
-
-    def apply_sq(self, k: int, t: int, vec: int) -> int:
-        """Sq^k acting on a degree-t vector of the free module."""
-        if k == 0 or vec == 0:
-            return vec
-        alg = self.algebra
-        out = 0
-        out_blocks = self.blocks(t + k)
-        for g, d, off in reversed(self.blocks(t)):
-            block = vec >> off
-            if not block:
-                continue
-            vec ^= block << off
-            out_off = out_blocks[g][2]
-            acc = 0
-            while block:
-                low = block & -block
-                acc ^= alg.multiply_mono(k, 0, t - d, low.bit_length() - 1)
-                block ^= low
-            out |= acc << out_off
-        return out
-
-    def element_of(self, vec: int, t: int) -> dict[int, AlgebraElement]:
-        """Split a degree-t vector into generator components."""
-        alg = self.algebra
-        out = {}
-        for g, d, off in self.blocks(t):
-            size = alg.dim(t - d)
-            block = (vec >> off) & ((1 << size) - 1)
-            if block:
-                out[g] = AlgebraElement(t - d, block)
-        return out
-
-    def vector_of(self, parts: dict[int, AlgebraElement], t: int) -> int:
-        vec = 0
-        for g, elem in parts.items():
-            d = self.gen_degrees[g]
-            if elem.degree != t - d:
-                raise ValueError("component degree mismatch")
-            vec |= elem.coords << self.offset(g, t)
-        return vec
 
 
 @dataclass(frozen=True)
@@ -274,14 +145,8 @@ class Resolution:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
         if s == 0:
             # Sq^k at degree td serves only the build of degree td + k, which
-            # happens once, so its columns are kept for this call alone.
-            actions: dict[tuple[int, int], list[int]] = {}
-
-            def apply_sq(k: int, td: int, vec: int) -> int:
-                cols = actions.get((k, td))
-                if cols is None:
-                    cols = actions[(k, td)] = self.module.action(k, td).columns()
-                return combine(cols, vec)
+            # happens once, so the applier and its columns live for this call.
+            apply_sq = self.module.column_action()
         else:
             apply_sq = self.indexers[s - 1].apply_sq
         return self.indexers[s].map_columns(t, lambda g: self.gen_target(s, g), apply_sq, self._cols[s])

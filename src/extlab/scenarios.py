@@ -180,7 +180,9 @@ def expected_pattern(spec: ScenarioSpec) -> ExpectedPattern:
 
 @dataclass
 class HypothesisCheck:
-    what: str  # "kernel" or "cokernel"
+    """One bidegree of a gate or a lemma check: a computed against an expected dimension."""
+
+    what: str  # "kernel" or "cokernel" in the gate; the lemma's statement otherwise
     s: int
     t: int
     computed: int
@@ -363,32 +365,7 @@ def verify_scenario(result: ScenarioResult) -> list[tuple[int, int, int, int]]:
     return result.e3.diff(expected_e3(result.spec))
 
 
-@dataclass
-class LemmaCheck:
-    name: str
-    s: int
-    t: int
-    computed: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-@dataclass
-class LemmaReport:
-    checks: list[LemmaCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[LemmaCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
-def kernel_image_lemma_check(result: ScenarioResult) -> LemmaReport:
+def kernel_image_lemma_check(result: ScenarioResult) -> HypothesisReport:
     """Per-bidegree verification of the kernel/image structure of the big
     fiber's boundary maps.
 
@@ -400,7 +377,7 @@ def kernel_image_lemma_check(result: ScenarioResult) -> LemmaReport:
     """
     if result.spec.kind not in ("f", "f-conj"):
         raise ValueError("lemma check applies to the big-fiber scenarios")
-    checks: list[LemmaCheck] = []
+    checks: list[HypothesisCheck] = []
     d_ik, d_ci, beta = result.d_ik, result.d_ci, result.beta
     ch_i, ch_c = result.chart_i, result.chart_c
     max_s, max_t = result.spec.max_s, result.spec.max_t
@@ -408,30 +385,30 @@ def kernel_image_lemma_check(result: ScenarioResult) -> LemmaReport:
     for s in range(0, max_s):
         for t in range(0, max_t + 1):
             want = 1 if (s == 0 and t >= 2 and t % 2 == 0 and not _is_pow2(t // 2)) else 0
-            checks.append(LemmaCheck("ker d_IK", s, t, d_ik.kernel_dim(s, t), want))
-            checks.append(LemmaCheck("d_CI injective", s, t, d_ci.kernel_dim(s, t), 0))
+            checks.append(HypothesisCheck("ker d_IK", s, t, d_ik.kernel_dim(s, t), want))
+            checks.append(HypothesisCheck("d_CI injective", s, t, d_ci.kernel_dim(s, t), 0))
     for s in range(0, max_s):
         for t in range(0, max_t + 1):
             want = ch_c.dim(s + 1, t) if t - s > 1 else 0
-            checks.append(LemmaCheck("Ext(I) shifted", s, t, ch_i.dim(s, t), want))
+            checks.append(HypothesisCheck("Ext(I) shifted", s, t, ch_i.dim(s, t), want))
     for s in range(0, max_s + 1):
         for t in range(0, max_t + 1):
             want = 1 if s == t else 0
-            checks.append(LemmaCheck("coker d_CI tower", s, t, d_ci.coker_dim(s, t), want))
+            checks.append(HypothesisCheck("coker d_CI tower", s, t, d_ci.coker_dim(s, t), want))
     pattern = expected_pattern(result.spec)
     for s in range(0, beta.max_s + 1):
         for t in range(0, beta.max_t + 1):
             checks.append(
-                LemmaCheck("ker composite", s, t, beta.kernel_dim(s, t), pattern.kernel(s, t))
+                HypothesisCheck("ker composite", s, t, beta.kernel_dim(s, t), pattern.kernel(s, t))
             )
     for s in range(0, max_s + 1):
         for t in range(0, max_t + 1):
             checks.append(
-                LemmaCheck(
+                HypothesisCheck(
                     "coker composite", s, t, beta.coker_dim_into(s, t), pattern.coker(s, t)
                 )
             )
-    return LemmaReport(checks)
+    return HypothesisReport(checks)
 
 
 @dataclass

@@ -290,7 +290,7 @@ def suite_scenarios(report: SuiteReport) -> None:
     def big():
         result = run_kind(ScenarioSpec("f", 8, 18))
         rep = kernel_image_lemma_check(result)
-        assert rep.ok, rep.failures()[:3]
+        assert rep.ok, rep.violations()[:3]
 
     def conjugate_matches():
         a = run_kind(ScenarioSpec("f", 6, 14))

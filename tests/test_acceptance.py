@@ -119,7 +119,7 @@ def test_criterion_6_conjugated(big_f, big_f_conj):
 def test_criterion_7_lemma_internals(big_f):
     start = time.time()
     rep = kernel_image_lemma_check(big_f)
-    assert rep.ok, rep.failures()[:6]
+    assert rep.ok, rep.violations()[:6]
     # spot checks straight from the statements
     d_ik, d_ci = big_f.d_ik, big_f.d_ci
     assert d_ik.kernel_dim(0, 12) == 1   # 2i = 12, i = 6 not a power of 2

@@ -159,6 +159,12 @@ def test_rank_helper():
     assert rank(BitMatrix.zero(3, 7)) == 0
 
 
+@given(bit_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_rref(m):
+    assert rank(m) == rref(m).rank
+
+
 @st.composite
 def matrices_and_vectors(draw, max_dim=64):
     m = draw(bit_matrices(max_dim))

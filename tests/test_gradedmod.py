@@ -3,6 +3,7 @@ import pytest
 from extlab.f2core import BitMatrix
 from extlab.gradedmod import (
     ExactnessError,
+    FreeIndexer,
     GradedModule,
     ModuleMap,
     a_mod_sq1,
@@ -186,3 +187,42 @@ def test_linearity_checked_over_every_generating_square(alg):
     broken.check_linearity(ks=[1, 2])  # the old sample passes
     with pytest.raises(ExactnessError):
         factor_map(broken)
+
+
+def test_free_indexer_with_unsorted_generators(alg):
+    idx = FreeIndexer(alg, [4, 2, 0])
+    assert idx.blocks(2) == [(1, 2, 0), (2, 0, 1)]
+    assert idx.offset(0, 2) == 0  # generator 0 starts above degree 2
+    assert idx.dim(4) == 1 + alg.dim(2) + alg.dim(4)
+    assert idx.offset(2, 4) == 1 + alg.dim(2)
+    # Sq^2 of generator 1 is the (1, Sq2) basis vector of degree 4
+    assert idx.apply_sq(2, 2, 1 << idx.offset(1, 2)) == 1 << idx.position(1, (2,), 4)
+    assert idx.action_columns(2, 2) == [
+        idx.apply_sq(2, 2, 1 << j) for j in range(idx.dim(2))
+    ]
+    with pytest.raises(ValueError):
+        idx.add_generator(-1)  # appended generators stay non-decreasing
+    assert idx.add_generator(0) == 3
+
+
+# Digests taken from the code before free modules and resolutions shared
+# one basis indexer; no other test builds a free module on unsorted shifts.
+FREE_4_2_0 = "5d6b58506ca0c2a5a971f0450d33414ad1db77cc6459c847ae49114285af6dbe"
+SQ4_SQ2_FACTORS = (
+    "0c775c5e1ebb1d1fd6d923f160b28f093d117b9e6740b10eddf0fdbea60d88c7",
+    "e0696bebfce44a1763b0588a1a0c834a9a011fd8033b2eccf541ab002902d559",
+    "50bc52d800dca125ceb5612c39fc38b38f599bf109d6cf81b15f0bc107571c8a",
+)
+
+
+def test_free_module_on_unsorted_shifts():
+    alg = AlgebraTable(14)
+    mod = free_module(alg, [4, 2, 0], 14)
+    assert mod.digest() == FREE_4_2_0
+    assert mod.labels[4] == ("g0[4]*1", "g1[2]*Sq2", "g2[0]*Sq4", "g2[0]*Sq3Sq1")
+    mod.check_actions(sample_only=True)
+    targets = [1 << alg.index((4,)), 1 << alg.index((2,))]
+    fac = factor_map(map_from_generators(
+        free_module(alg, [4, 2], 14), free_module(alg, [0], 14), targets
+    ))
+    assert (fac.K.digest(), fac.I.digest(), fac.C.digest()) == SQ4_SQ2_FACTORS

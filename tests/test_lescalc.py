@@ -13,6 +13,7 @@ from extlab.gradedmod import (
     trivial_module,
 )
 from extlab.lescalc import (
+    ChainLift,
     LiftError,
     compose_boundaries,
     connecting_map,
@@ -244,7 +245,37 @@ def _horseshoe_by_row_matrices(lift, s, t):
     return BitMatrix.from_columns(cols, rows_sub + rq.indexers[s - 1].dim(t))
 
 
-def test_horseshoe_differential_matches_row_construction(alg):
+def _block_check(lift):
+    """eps o d^Q_1 = 0 and d^Q o d^Q = 0 from row matrices: the horseshoe
+    block check that ChainLift.verify leaves to the tau recurrences."""
+    ses, rs = lift.ses, lift.res_sub
+    for t in range(lift.max_t + 1):
+        incl_aug = ses.inclusion.mat(t) @ rs.diff_matrix(0, t)
+        prev = BitMatrix.from_columns(incl_aug.columns() + lift.sigma_columns(t), ses.mid.dim(t))
+        for s in range(1, lift.max_s + 1):
+            cur = _horseshoe_by_row_matrices(lift, s, t)
+            if not (prev @ cur).is_zero():
+                raise AssertionError(f"d^Q o d^Q != 0 at (s={s}, t={t})")
+            prev = cur
+
+
+def _raises(check) -> bool:
+    try:
+        check()
+    except AssertionError:
+        return True
+    return False
+
+
+def _with_tau_bit_flipped(lift, s, h, bit):
+    bad = ChainLift(lift.ses, lift.res_sub, lift.res_quot)
+    bad.sigma = list(lift.sigma)
+    bad.tau = [list(level) for level in lift.tau]
+    bad.tau[s][h] ^= 1 << bit
+    return bad
+
+
+def test_verify_agrees_with_horseshoe_block_check(alg):
     fac = factor_map(scenario_map(ScenarioSpec("f", MAX_S, MAX_T), alg))
     res = [minimal_resolution(m, MAX_S, MAX_T) for m in (fac.K, fac.I, fac.C)]
     for ses, res_sub, res_quot in (
@@ -252,6 +283,22 @@ def test_horseshoe_differential_matches_row_construction(alg):
         (fac.cokernel_sequence(), res[1], res[2]),
     ):
         lift = horseshoe_lift(ses, res_sub, res_quot)
-        for s in range(1, MAX_S + 1):
-            for t in range(MAX_T + 1):
-                assert lift.horseshoe_differential(s, t) == _horseshoe_by_row_matrices(lift, s, t)
+        lift.verify()
+        _block_check(lift)
+        for s in range(1, 4):
+            flipped = 0
+            for h, th in enumerate(res_quot.gen_degrees(s)):
+                # the map that tau_s(h) is pushed through by its recurrence
+                if s == 1:
+                    below = (ses.inclusion.mat(th) @ res_sub.diff_matrix(0, th)).columns()
+                else:
+                    below = res_sub.diff_columns(s - 1, th)
+                for bit, c in enumerate(below):
+                    bad = _with_tau_bit_flipped(lift, s, h, bit)
+                    raised = _raises(bad.verify)
+                    assert raised == _raises(lambda: _block_check(bad)), (s, h, bit)
+                    assert raised or not c, (s, h, bit)
+                    flipped += bool(c)
+                if flipped >= 2:
+                    break
+            assert flipped >= 2, s

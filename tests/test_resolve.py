@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -214,6 +215,16 @@ def test_ext_chart_helpers():
     assert chart.dim(5, 5) == 0
     assert chart.total() == 2
     assert chart.nonzero() == [(0, 0, 1), (1, 1, 1)]
+
+
+def test_resolution_of_unsorted_free_module():
+    # sha256 taken from the code before free modules and resolutions shared
+    # one basis indexer
+    mod = free_module(AlgebraTable(14), [4, 2, 0], 14)
+    text = serialize_resolution(minimal_resolution(mod, 5, 14))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3bd85632f59723594dd2101f75e3ad94f7b7a829f3f9d92c7eec010824b0b8c3"
+    )
 
 
 def test_free_indexer_table_follows_new_generators(alg):

@@ -83,7 +83,7 @@ def test_big_fiber(fbig):
     assert fbig.ok
     assert verify_scenario(fbig) == []
     rep = kernel_image_lemma_check(fbig)
-    assert rep.ok, rep.failures()[:4]
+    assert rep.ok, rep.violations()[:4]
 
 
 def test_big_fiber_les_exactness(fbig):
