@@ -14,9 +14,14 @@ Conventions, fixed repo-wide:
   product with a vector is then :func:`combine`, the XOR of the columns
   picked out by the set bits of ``v``; it costs O(popcount v) XORs where
   ``BitMatrix.mul_vec`` costs O(rows), and needs no conversion to rows.
-  :func:`image_and_kernel` takes a column list too: one elimination gives
-  the image span and the same canonical kernel basis as
-  :func:`kernel_basis`, without building the row matrix or transposing it.
+  :func:`image_and_kernel` and :class:`Solver` take a column list too,
+  and both eliminate with the one :class:`EchelonAccumulator`: one pass
+  gives the image span and the same canonical kernel as
+  :func:`kernel_basis`, or a solver with the same answers as
+  :func:`solve`, without building the row matrix or transposing it.
+  ``_rref_rows`` (full Gauss-Jordan) is left to :meth:`Subspace.from_rows`,
+  whose reduced bases module digests depend on, and to the references
+  :func:`rref`, :func:`kernel_basis` and :func:`solve`.
 * All outputs are canonical: rref is the unique reduced row-echelon form,
   ``solve`` returns the unique solution supported on pivot columns, and
   quotient complements are spanned by the non-pivot coordinates.  Everything
@@ -353,35 +358,33 @@ def solve(m: BitMatrix, b: int) -> Optional[int]:
 class Solver:
     """Reusable solver for many right-hand sides against a fixed matrix.
 
-    Precomputes E with E @ m in rref; solving costs one matrix-vector
-    product.  Solutions agree bit-for-bit with :func:`solve`.
+    The matrix comes as a column list with its row count.  Column j enters
+    an :class:`EchelonAccumulator` as the graph vector ``(c_j << n) | 1 <<
+    j``; ``solve(b)`` reduces ``b << n``.  A remainder with a nonzero high
+    part means b is outside the image.  Otherwise the remainder is x with
+    m @ x = b and no bit at a leading position below n.  Those leads are the
+    highest coordinates of kernel vectors, which are exactly rref's non-pivot
+    columns, so x is :func:`solve`'s answer bit for bit.
     """
 
-    __slots__ = ("matrix", "_transform", "_pivots", "_rank")
+    __slots__ = ("rows", "_shift", "_graph")
 
-    def __init__(self, m: BitMatrix):
-        aug = [r | (1 << (m.cols + i)) for i, r in enumerate(m.data)]
-        data, pivots = _rref_rows(aug, m.cols)
-        self.matrix = m
-        self._transform = [r >> m.cols for r in data]
-        self._pivots = pivots
-        self._rank = len(pivots)
-
-    @property
-    def rank(self) -> int:
-        return self._rank
+    def __init__(self, columns: Sequence[int], rows: int):
+        n = len(columns)
+        graph = EchelonAccumulator(rows + n)
+        for j, c in enumerate(columns):
+            if c >> rows:
+                raise F2Error("column has bits set beyond row count")
+            graph.add((c << n) | (1 << j))
+        self.rows = rows
+        self._shift = n
+        self._graph = graph
 
     def solve(self, b: int) -> Optional[int]:
-        if b >> self.matrix.rows:
+        if b >> self.rows:
             raise F2Error("right-hand side has bits set beyond row count")
-        x = 0
-        for r, p in zip(self._transform, self._pivots):
-            if (r & b).bit_count() & 1:
-                x |= 1 << p
-        for i in range(self._rank, self.matrix.rows):
-            if (self._transform[i] & b).bit_count() & 1:
-                return None
-        return x
+        r = self._graph.reduce(b << self._shift)
+        return None if r >> self._shift else r
 
 
 def quotient_section(ambient_dim: int, sub: Subspace) -> tuple[BitMatrix, BitMatrix]:
@@ -469,7 +472,7 @@ class EchelonAccumulator:
         return Subspace.from_rows(self.rows(), self.ambient_dim)
 
 
-def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, list[int]]:
+def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, Subspace]:
     """The image span and the canonical kernel of a matrix given as columns.
 
     One elimination serves both (Bruner's [d | I]): column j enters as the
@@ -479,7 +482,8 @@ def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumula
     rows led below n have no high part and are kernel vectors, one per
     dimension of the kernel.  Back-substitution among the kernel rows and a
     bit reversal give ``kernel_basis(BitMatrix.from_columns(columns,
-    rows)).basis.data``, rows in the same order.
+    rows))``, the same rows and pivots: a row led by p has its pivot at
+    coordinate n - 1 - p.
     """
     n = len(columns)
     graph = EchelonAccumulator(rows + n)
@@ -496,8 +500,8 @@ def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumula
         else:
             kernel[p] = r
     kmask = graph._lead & ((1 << n) - 1)
-    leads = sorted(kernel)
-    for p in leads:
+    leads = sorted(kernel, reverse=True)
+    for p in reversed(leads):
         # rows below p are already reduced, so XORing one adds no lead bit
         r = kernel[p]
         hit = r & kmask & ~(1 << p)
@@ -506,4 +510,5 @@ def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumula
             r ^= kernel[low.bit_length() - 1]
             hit ^= low
         kernel[p] = r
-    return image, [int(format(kernel[p], f"0{n}b")[::-1], 2) for p in reversed(leads)]
+    basis = [int(format(kernel[p], f"0{n}b")[::-1], 2) for p in leads]
+    return image, Subspace(n, BitMatrix(len(basis), n, basis), tuple(n - 1 - p for p in leads))

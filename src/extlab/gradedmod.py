@@ -24,7 +24,7 @@ from .f2core import (
     BitMatrix,
     Subspace,
     combine,
-    kernel_basis,
+    image_and_kernel,
     quotient_section,
     rank as f2rank,
 )
@@ -451,9 +451,9 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     projs: list[BitMatrix] = []
     lifts: list[BitMatrix] = []
     for t in range(bound + 1):
-        mat = f.mat(t)
-        kers.append(kernel_basis(mat))
-        imgs.append(Subspace.from_rows(mat.columns(), cod.dim(t)))
+        image, kernel = image_and_kernel(f.mat(t).columns(), cod.dim(t))
+        kers.append(kernel)
+        imgs.append(image.subspace())
         proj, lift = quotient_section(cod.dim(t), imgs[t])
         projs.append(proj)
         lifts.append(lift)

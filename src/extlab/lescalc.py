@@ -123,23 +123,30 @@ def horseshoe_lift(
     lift = ChainLift(ses, res_sub, res_quot)
     max_s, max_t = res_sub.max_s, res_sub.max_t
 
-    proj_solvers: dict[int, Solver] = {}
-    incl_solvers: dict[int, Solver] = {}
-    diff_solvers: dict[tuple[int, int], Solver] = {}
+    solvers: dict[tuple, Solver] = {}
 
-    def solve_or_fail(solver: Solver, b: int, what: str, where) -> int:
+    def preimage(key: tuple, b: int, what: str) -> int:
+        """Canonical x with m @ x = b in degree t, where key = (m, t) names
+        m: "projection" or "inclusion" of the sequence, or s for d_s of
+        res_sub.  Each key's solver is built once."""
+        solver = solvers.get(key)
+        if solver is None:
+            m, t = key
+            if isinstance(m, str):
+                mat = getattr(ses, m).mat(t)
+                solver = Solver(mat.columns(), mat.rows)
+            else:
+                solver = Solver(res_sub.diff_columns(m, t), res_sub.ambient_dim(m, t))
+            solvers[key] = solver
         x = solver.solve(b)
         if x is None:
-            raise LiftError(f"{what} unsolvable at {where}")
+            raise LiftError(f"{what} unsolvable")
         return x
 
     # sigma on generators of P_0(quot)
     for g, tg in enumerate(res_quot.indexers[0].gen_degrees):
-        solver = proj_solvers.get(tg)
-        if solver is None:
-            solver = proj_solvers[tg] = Solver(ses.projection.mat(tg))
         lift.sigma.append(
-            solve_or_fail(solver, res_quot.aug_vectors[g], "projection lift", f"t={tg}")
+            preimage(("projection", tg), res_quot.aug_vectors[g], f"projection lift at t={tg}")
         )
 
     for s in range(1, max_s + 1):
@@ -148,41 +155,39 @@ def horseshoe_lift(
             dvec = res_quot.gen_target(s, h)
             if s == 1:
                 w = combine(lift.sigma_columns(th), dvec)
-                solver = incl_solvers.get(th)
-                if solver is None:
-                    solver = incl_solvers[th] = Solver(ses.inclusion.mat(th))
-                v = solve_or_fail(solver, w, "inclusion preimage", f"t={th}")
-                key = (0, th)
+                v = preimage(("inclusion", th), w, f"inclusion preimage at t={th}")
             else:
                 v = combine(lift.tau_columns(s - 1, th), dvec)
-                key = (s - 1, th)
-            solver = diff_solvers.get(key)
-            if solver is None:
-                solver = diff_solvers[key] = Solver(res_sub.diff_matrix(*key))
             lift.tau[s].append(
-                solve_or_fail(solver, v, "chain-lift recurrence", f"(s={s}, t={th})")
+                preimage((s - 1, th), v, f"chain-lift recurrence at (s={s}, t={th})")
             )
     return lift
 
 
 @dataclass
 class BoundaryMap:
-    """Connecting homomorphism: Ext^{s,t}(sub) -> Ext^{s+1,t}(quot).
+    """A bigraded map of Ext charts: Ext^{s,t}(source) -> Ext^{s+ds,t+dt}(target).
 
-    Matrices exist for 0 <= s <= max_s and 0 <= t <= max_t; missing keys are
-    zero maps between zero spaces.
+    A connecting homomorphism Ext^{s,t}(sub) -> Ext^{s+1,t}(quot) has
+    ``degree`` (ds, dt) = (1, 0); the composite of two, indexed against the
+    desuspended source, has (2, 1).  Matrices exist for 0 <= s <= max_s and
+    0 <= t <= max_t; missing keys are zero maps between the charts' spaces.
     """
 
     source_chart: ExtChart
     target_chart: ExtChart
     max_s: int
     max_t: int
+    degree: tuple[int, int] = (1, 0)
     mats: dict[tuple[int, int], BitMatrix] = field(default_factory=dict)
 
     def mat(self, s: int, t: int) -> BitMatrix:
         got = self.mats.get((s, t))
         if got is None:
-            got = BitMatrix.zero(self.target_chart.dim(s + 1, t), self.source_chart.dim(s, t))
+            ds, dt = self.degree
+            got = BitMatrix.zero(
+                self.target_chart.dim(s + ds, t + dt), self.source_chart.dim(s, t)
+            )
         return got
 
     def rank(self, s: int, t: int) -> int:
@@ -192,12 +197,15 @@ class BoundaryMap:
         return self.source_chart.dim(s, t) - self.rank(s, t)
 
     def coker_dim(self, s: int, t: int) -> int:
-        """Cokernel in Ext^{s,t}(quot), i.e. of the map arriving from s-1."""
-        return self.target_chart.dim(s, t) - self.rank(s - 1, t)
+        """Cokernel in the target chart's bidegree (s, t), i.e. of the map
+        arriving from (s - ds, t - dt)."""
+        ds, dt = self.degree
+        return self.target_chart.dim(s, t) - self.rank(s - ds, t - dt)
 
     def is_iso(self, s: int, t: int) -> bool:
+        ds, dt = self.degree
         src = self.source_chart.dim(s, t)
-        tgt = self.target_chart.dim(s + 1, t)
+        tgt = self.target_chart.dim(s + ds, t + dt)
         return src == tgt and self.rank(s, t) == src
 
 
@@ -229,60 +237,21 @@ def connecting_map(lift: ChainLift) -> BoundaryMap:
     return bmap
 
 
-@dataclass
-class CompositeMap:
-    """The two-boundary composite, indexed against the desuspended source.
-
-    ``mat(s, t)`` is Ext^{s,t}(desuspended sub) = Ext^{s,t+1}(sub)
-    -> Ext^{s+2,t+1}(quot-of-second-map); it raises filtration by 2 and
-    stem by exactly 1 - (0) ... i.e. (s, t) -> (s + 2, t + 1) on the target
-    chart's own indexing.
-    """
-
-    source_chart: ExtChart  # chart of the desuspended sub
-    target_chart: ExtChart
-    max_s: int  # beta defined for 0 <= s <= max_s
-    max_t: int  # and 0 <= t <= max_t
-    mats: dict[tuple[int, int], BitMatrix] = field(default_factory=dict)
-
-    def mat(self, s: int, t: int) -> BitMatrix:
-        got = self.mats.get((s, t))
-        if got is None:
-            got = BitMatrix.zero(
-                self.target_chart.dim(s + 2, t + 1), self.source_chart.dim(s, t)
-            )
-        return got
-
-    def rank(self, s: int, t: int) -> int:
-        if s < 0:
-            return 0
-        return f2rank(self.mat(s, t))
-
-    def kernel_dim(self, s: int, t: int) -> int:
-        return self.source_chart.dim(s, t) - self.rank(s, t)
-
-    def coker_dim_into(self, s: int, t: int) -> int:
-        """Cokernel in the target chart's bidegree (s, t)."""
-        return self.target_chart.dim(s, t) - self.rank(s - 2, t - 1)
-
-    def is_iso(self, s: int, t: int) -> bool:
-        src = self.source_chart.dim(s, t)
-        tgt = self.target_chart.dim(s + 2, t + 1)
-        return src == tgt and self.rank(s, t) == src
-
-
-def compose_boundaries(d1: BoundaryMap, d2: BoundaryMap) -> CompositeMap:
+def compose_boundaries(d1: BoundaryMap, d2: BoundaryMap) -> BoundaryMap:
     """d2 o d1 per bidegree, re-indexed by the desuspension of d1's source.
 
-    d1 must land in the chart d2 departs from.
+    d1 must land in the chart d2 departs from.  The result has degree
+    (2, 1): Ext^{s,t}(desuspended sub) = Ext^{s,t+1}(sub) ->
+    Ext^{s+2,t+1}(target of d2).
     """
     if d1.target_chart != d2.source_chart:
         raise ValueError("boundary maps do not compose: charts differ")
-    comp = CompositeMap(
+    comp = BoundaryMap(
         source_chart=d1.source_chart.shift_t(-1),
         target_chart=d2.target_chart,
         max_s=min(d1.max_s, d2.max_s - 1),
         max_t=min(d1.max_t, d2.max_t) - 1,
+        degree=(2, 1),
     )
     for s in range(0, comp.max_s + 1):
         for t in range(0, comp.max_t + 1):
@@ -293,22 +262,29 @@ def compose_boundaries(d1: BoundaryMap, d2: BoundaryMap) -> CompositeMap:
 
 
 @dataclass
-class LesCheck:
+class HypothesisCheck:
+    """One bidegree of a check: a computed against an expected dimension."""
+
+    what: str  # "kernel" or "cokernel" in the gate; the statement checked otherwise
     s: int
     t: int
-    ok: bool
-    detail: str = ""
+    computed: int
+    expected: int
+
+    @property
+    def ok(self) -> bool:
+        return self.computed == self.expected
 
 
 @dataclass
-class LesReport:
-    checks: list[LesCheck]
+class HypothesisReport:
+    checks: list[HypothesisCheck]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> list[LesCheck]:
+    def violations(self) -> list[HypothesisCheck]:
         return [c for c in self.checks if not c.ok]
 
 
@@ -317,32 +293,30 @@ def les_exactness_report(
     chart_sub: ExtChart,
     chart_mid: Optional[ExtChart],
     chart_quot: ExtChart,
-) -> LesReport:
-    """Rank-alternation consistency of the long exact sequence.
+) -> HypothesisReport:
+    """Shape and rank-alternation consistency of the long exact sequence.
 
-    With the middle chart available, exactness forces, per bidegree,
+    Per bidegree, the boundary matrix must have the charts' shape ("boundary
+    rows", "boundary cols").  With the middle chart available and the shape
+    right, exactness forces
 
         [quot_s - rank d_{s-1}] + [sub_s - rank d_s] = mid_s
 
-    with both brackets non-negative (they are the ranks of p* and i*).
-    Without it, only shape consistency of the boundary matrices is checked.
+    ("rank alternation").  The brackets are the ranks of p* and i*.  They
+    need no check of their own: once the shapes hold, each is a dimension
+    minus the rank of a matrix with that many rows or columns, so neither
+    is negative, and a shape that fails fails the report.
     """
     checks = []
     for s in range(0, boundary.max_s + 1):
         for t in range(0, boundary.max_t + 1):
-            m = boundary.mat(s, t)
-            if m.shape != (chart_quot.dim(s + 1, t), chart_sub.dim(s, t)):
-                checks.append(LesCheck(s, t, False, f"matrix shape {m.shape} mismatches charts"))
+            rows, cols = boundary.mat(s, t).shape
+            want_rows, want_cols = chart_quot.dim(s + 1, t), chart_sub.dim(s, t)
+            checks.append(HypothesisCheck("boundary rows", s, t, rows, want_rows))
+            checks.append(HypothesisCheck("boundary cols", s, t, cols, want_cols))
+            if chart_mid is None or (rows, cols) != (want_rows, want_cols):
                 continue
-            if chart_mid is None:
-                checks.append(LesCheck(s, t, True))
-                continue
-            r_p = chart_quot.dim(s, t) - boundary.rank(s - 1, t) if s >= 1 else chart_quot.dim(s, t)
+            r_p = chart_quot.dim(s, t) - boundary.rank(s - 1, t)
             r_i = chart_sub.dim(s, t) - boundary.rank(s, t)
-            ok = r_p >= 0 and r_i >= 0 and r_p + r_i == chart_mid.dim(s, t)
-            detail = "" if ok else (
-                f"rank alternation fails: p*-rank {r_p}, i*-rank {r_i}, "
-                f"mid {chart_mid.dim(s, t)}"
-            )
-            checks.append(LesCheck(s, t, ok, detail))
-    return LesReport(checks)
+            checks.append(HypothesisCheck("rank alternation", s, t, r_p + r_i, chart_mid.dim(s, t)))
+    return HypothesisReport(checks)

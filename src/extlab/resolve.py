@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional
 
-from .f2core import (
-    BitMatrix, EchelonAccumulator, combine, image_and_kernel, rank as f2rank, rref,
-)
+from .f2core import BitMatrix, EchelonAccumulator, combine, image_and_kernel
 from .gradedmod import FreeIndexer, GradedModule
 from .steenrod import AlgebraElement
 
@@ -202,12 +200,11 @@ class Resolution:
         """dim ker(d_s)_t = rank(d_{s+1})_t inside the validated window."""
         for s in range(0, self.max_s):
             for t in range(0, self.max_t + 1):
-                mat = self.diff_matrix(s, t)
-                ker_dim = mat.cols - rref(mat).rank
-                im_dim = f2rank(self.diff_matrix(s + 1, t))
-                if ker_dim != im_dim:
+                _, kernel = image_and_kernel(self.diff_columns(s, t), self.ambient_dim(s, t))
+                image, _ = image_and_kernel(self.diff_columns(s + 1, t), self.ambient_dim(s + 1, t))
+                if kernel.rank != image.rank:
                     raise AssertionError(
-                        f"exactness fails at (s={s}, t={t}): ker {ker_dim} != im {im_dim}"
+                        f"exactness fails at (s={s}, t={t}): ker {kernel.rank} != im {image.rank}"
                     )
 
     def chart(self) -> ExtChart:
@@ -240,7 +237,7 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                     res.diffs[s].append(res.indexers[s - 1].element_of(r, t))
                 new_cols.append(r)
             res._cols[s][t] = new_cols
-            candidates = kernel
+            candidates = kernel.basis.data
     res.verify_d_squared()
     return res
 

@@ -34,7 +34,8 @@ from .gradedmod import (
 )
 from .lescalc import (
     BoundaryMap,
-    CompositeMap,
+    HypothesisCheck,
+    HypothesisReport,
     compose_boundaries,
     connecting_map,
     horseshoe_lift,
@@ -178,35 +179,8 @@ def expected_pattern(spec: ScenarioSpec) -> ExpectedPattern:
     return ExpectedPattern(kernel=kernel, coker=coker, annotate=annotate)
 
 
-@dataclass
-class HypothesisCheck:
-    """One bidegree of a gate or a lemma check: a computed against an expected dimension."""
-
-    what: str  # "kernel" or "cokernel" in the gate; the lemma's statement otherwise
-    s: int
-    t: int
-    computed: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-@dataclass
-class HypothesisReport:
-    checks: list[HypothesisCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def violations(self) -> list[HypothesisCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
 def assemble_e3(
-    beta: CompositeMap, pattern: ExpectedPattern
+    beta: BoundaryMap, pattern: ExpectedPattern
 ) -> tuple[Optional[E3Chart], HypothesisReport]:
     """Gate on the expected kernel/cokernel pattern, then read off the page.
 
@@ -225,7 +199,7 @@ def assemble_e3(
             if want is None:
                 continue
             checks.append(
-                HypothesisCheck("cokernel", s, t, beta.coker_dim_into(s, t), want)
+                HypothesisCheck("cokernel", s, t, beta.coker_dim(s, t), want)
             )
     report = HypothesisReport(checks)
     if not report.ok:
@@ -234,7 +208,7 @@ def assemble_e3(
     chart = E3Chart(max_filt=beta.max_s, max_total=beta.max_t)
     for s in range(0, beta.max_s + 1):
         for t in range(s, beta.max_t + 1):
-            dim = beta.kernel_dim(s, t) + beta.coker_dim_into(s, t)
+            dim = beta.kernel_dim(s, t) + beta.coker_dim(s, t)
             if dim:
                 stem, filt = t - s, s
                 chart.entries[(stem, filt)] = dim
@@ -287,7 +261,7 @@ class ScenarioResult:
     res_c: Resolution
     d_ik: BoundaryMap
     d_ci: BoundaryMap
-    beta: CompositeMap
+    beta: BoundaryMap
     hypothesis: HypothesisReport
     e3: Optional[E3Chart]
 
@@ -405,7 +379,7 @@ def kernel_image_lemma_check(result: ScenarioResult) -> HypothesisReport:
         for t in range(0, max_t + 1):
             checks.append(
                 HypothesisCheck(
-                    "coker composite", s, t, beta.coker_dim_into(s, t), pattern.coker(s, t)
+                    "coker composite", s, t, beta.coker_dim(s, t), pattern.coker(s, t)
                 )
             )
     return HypothesisReport(checks)

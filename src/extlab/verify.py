@@ -250,9 +250,9 @@ def suite_les(report: SuiteReport) -> None:
 
     def rank_alternation():
         rep1 = les_exactness_report(d_ik, res_k.chart(), free_chart([2], max_s, max_t), res_i.chart())
-        assert rep1.ok, rep1.failures()[:3]
+        assert rep1.ok, rep1.violations()[:3]
         rep2 = les_exactness_report(d_ci, res_i.chart(), free_chart([0], max_s, max_t), res_c.chart())
-        assert rep2.ok, rep2.failures()[:3]
+        assert rep2.ok, rep2.violations()[:3]
 
     def composite_bidegree():
         beta = compose_boundaries(d_ik, d_ci)

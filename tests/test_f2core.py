@@ -48,7 +48,7 @@ def test_solve_soundness(m, b):
     if x is not None:
         assert m.mul_vec(x) == b
     # batch solver agrees with the one-shot path bit for bit
-    assert Solver(m).solve(b) == x
+    assert Solver(m.columns(), m.rows).solve(b) == x
 
 
 @given(bit_matrices(max_dim=24))
@@ -100,6 +100,21 @@ def test_solve_examples():
     assert solve(ident, 0b1010) == 0b1010
     assert solve(BitMatrix.zero(2, 2), 0b10) is None
     assert solve(BitMatrix.from_dense([[1], [1]]), 0b11) == 1
+
+
+def test_solver_edges():
+    assert Solver([], 0).solve(0) == 0
+    zeros = Solver([0, 0, 0], 2)
+    assert zeros.solve(0) == 0
+    assert zeros.solve(0b10) is None
+    # free variables stay zero: x is supported on the pivot column 0
+    assert Solver([0b1, 0b1], 1).solve(1) == 0b01
+    with pytest.raises(F2Error):
+        Solver([], 0).solve(1)
+    with pytest.raises(F2Error):
+        Solver([0b01, 0b11], 2).solve(0b100)
+    with pytest.raises(F2Error):
+        Solver([0b100], 2)
 
 
 def test_quotient_examples():
@@ -225,15 +240,17 @@ def test_image_and_kernel_match_kernel_basis(cr):
     cols, rows = cr
     m = BitMatrix.from_columns(cols, rows)
     image, kernel = image_and_kernel(cols, rows)
-    assert kernel == list(kernel_basis(m).basis.data)
+    reference = kernel_basis(m)
+    assert kernel == reference  # Subspace equality ignores the pivots
+    assert kernel.pivots == reference.pivots
     assert image.subspace() == column_space(m)
 
 
 def test_image_and_kernel_edges():
-    assert image_and_kernel([], 0)[1] == []
+    assert image_and_kernel([], 0)[1].basis.data == ()
     assert image_and_kernel([], 3)[0].rank == 0
-    assert image_and_kernel([0, 0], 0)[1] == [0b01, 0b10]
-    assert image_and_kernel([0b11, 0b11, 0b01], 2)[1] == [0b011]
+    assert image_and_kernel([0, 0], 0)[1].basis.data == (0b01, 0b10)
+    assert image_and_kernel([0b11, 0b11, 0b01], 2)[1].basis.data == (0b011,)
     with pytest.raises(F2Error):
         image_and_kernel([0b100], 2)
 

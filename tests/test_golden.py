@@ -9,8 +9,10 @@ import hashlib
 import os
 
 from extlab.cli import main
-from extlab.gradedmod import trivial_module
+from extlab.gradedmod import factor_map, trivial_module
+from extlab.lescalc import horseshoe_lift
 from extlab.resolve import minimal_resolution, serialize_resolution
+from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 
 F2_10_26 = "54fcf78e1e37db1d89f5707edf659ed0faa9723dc801d225d5f8eb0a81a09b47"
@@ -20,6 +22,10 @@ SCENARIO_F_10_26_CACHE = {
     "218f1caf93ae8e14e299b6b18cdb61813863ba114a33092ff00de0629cf17fa4",
     "42eec5120345477a2c121e94384c00cd29e4436ffb8295110e428cba5eb2de9a",
 }
+# sha256 of repr((sigma, tau)) of the two horseshoe lifts of scenario f
+# (10, 26), taken from the code that solved them with a Gauss-Jordan of [m | I]
+LIFT_F_10_26_KERNEL = "5eafa964d6fc7ad0cb5b5111857b0615a42e5bf840b3388653f9d462cc82a5d6"
+LIFT_F_10_26_COKERNEL = "f96695298100d6dd3c7587a57f59dff19188a3c5295dd3e46551984ebc5285ef"
 
 
 def _sha256(data: bytes) -> str:
@@ -40,3 +46,17 @@ def test_scenario_f_stdout_and_cache_bytes(capsys, tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 3
     assert {_sha256((tmp_path / name).read_bytes()) for name in files} == SCENARIO_F_10_26_CACHE
+
+
+def test_scenario_f_lift_bytes():
+    # the cache files above pin the resolutions, not which of the valid
+    # preimages each lift solve picks; these pin the lifts themselves
+    fac = factor_map(scenario_map(ScenarioSpec("f", 10, 26)))
+    res_k, res_i, res_c = (minimal_resolution(m, 10, 26) for m in (fac.K, fac.I, fac.C))
+    lifts = [
+        horseshoe_lift(fac.kernel_sequence(), res_k, res_i),
+        horseshoe_lift(fac.cokernel_sequence(), res_i, res_c),
+    ]
+    assert [_sha256(repr((lift.sigma, lift.tau)).encode()) for lift in lifts] == [
+        LIFT_F_10_26_KERNEL, LIFT_F_10_26_COKERNEL,
+    ]

@@ -134,7 +134,7 @@ def test_les_rank_alternation(fn_setup):
     report = les_exactness_report(
         d_ik, res_k.chart(), free_chart([2], MAX_S, MAX_T), res_i.chart()
     )
-    assert report.ok, report.failures()[:3]
+    assert report.ok, report.violations()[:3]
     # without the middle chart only shapes are checked
     report = les_exactness_report(d_ik, res_k.chart(), None, res_i.chart())
     assert report.ok

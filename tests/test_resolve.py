@@ -138,15 +138,18 @@ def test_load_hash_mismatch(tmp_path, alg, res_f2):
 def test_load_truncated(tmp_path, alg, res_f2):
     path = str(tmp_path / "f2.extres")
     save_resolution(res_f2, path)
-    text = open(path).read()
-    open(path, "w").write(text[: len(text) // 2])
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
     with pytest.raises(CorruptFileError):
         load_resolution(path, trivial_module(alg, 14))
 
 
 def test_load_bad_magic(tmp_path, alg):
     path = str(tmp_path / "junk.extres")
-    open(path, "w").write("NOTEXTLAB\nend\n")
+    with open(path, "w") as fh:
+        fh.write("NOTEXTLAB\nend\n")
     with pytest.raises(CorruptFileError):
         load_resolution(path, trivial_module(alg, 14))
 
@@ -154,8 +157,10 @@ def test_load_bad_magic(tmp_path, alg):
 def test_load_version_mismatch(tmp_path, alg, res_f2):
     path = str(tmp_path / "f2.extres")
     save_resolution(res_f2, path)
-    text = open(path).read().replace("version 1", "version 9")
-    open(path, "w").write(text)
+    with open(path) as fh:
+        text = fh.read().replace("version 1", "version 9")
+    with open(path, "w") as fh:
+        fh.write(text)
     with pytest.raises(VersionMismatchError):
         load_resolution(path, trivial_module(alg, 14))
 
@@ -176,7 +181,8 @@ def test_cached_resolution_recovers_from_corruption(tmp_path, alg):
     module = trivial_module(alg, 10)
     first = cached_resolution(module, 4, 10, cache)
     victim = os.path.join(cache, os.listdir(cache)[0])
-    open(victim, "w").write("garbage")
+    with open(victim, "w") as fh:
+        fh.write("garbage")
     second = cached_resolution(module, 4, 10, cache)
     assert serialize_resolution(first) == serialize_resolution(second)
 

@@ -97,14 +97,14 @@ def test_big_fiber_les_exactness(fbig):
     rep = les_exactness_report(
         fbig.d_ik, fbig.chart_k, free_chart(shifts, max_s, max_t), fbig.chart_i
     )
-    assert rep.ok, rep.failures()[:4]
+    assert rep.ok, rep.violations()[:4]
     # second sequence: middle is the integral quotient, Ext = the tower
     tower = ExtChart(
         max_s, max_t,
         tuple(tuple(1 if s == t else 0 for t in range(max_t + 1)) for s in range(max_s + 1)),
     )
     rep = les_exactness_report(fbig.d_ci, fbig.chart_i, tower, fbig.chart_c)
-    assert rep.ok, rep.failures()[:4]
+    assert rep.ok, rep.violations()[:4]
 
 
 def test_big_fiber_stems(fbig):
