@@ -8,12 +8,16 @@ Conventions, fixed repo-wide:
 * A :class:`BitMatrix` with ``rows`` rows and ``cols`` columns represents a
   linear map F2^cols -> F2^rows.  Vectors are columns and maps act on the
   left: ``(m @ v)`` has bit ``i`` equal to ``<row_i, v>``.
-* Code that builds a map one column at a time (free-module differentials,
-  chain lifts, induced actions) may instead hold it as a *column list*: a
-  sequence whose entry ``j`` is the image of basis vector ``j``.  The
-  product with a vector is then :func:`combine`, the XOR of the columns
-  picked out by the set bits of ``v``; it costs O(popcount v) XORs where
-  ``BitMatrix.mul_vec`` costs O(rows), and needs no conversion to rows.
+* Maps of the module layer (module actions, module maps, free-module
+  differentials, chain lifts) are held as *column lists*: a sequence whose
+  entry ``j`` is the image of basis vector ``j``.  The product with a
+  vector is :func:`combine`, the XOR of the columns picked out by the set
+  bits of ``v``; it costs O(popcount v) XORs where ``BitMatrix.mul_vec``
+  costs O(rows).  :func:`compose` multiplies two column lists, and
+  :func:`rank` takes the columns as they are, since a span has the same
+  dimension whether it is read off the rows or the columns.
+  :class:`BitMatrix` remains for chart maps, for the rows that module
+  digests hash, and for the reference functions.
   :func:`image_and_kernel` and :class:`Solver` take a column list too,
   and both eliminate with the one :class:`EchelonAccumulator`: one pass
   gives the image span and the same canonical kernel as
@@ -49,6 +53,11 @@ def combine(columns: Sequence[int], v: int) -> int:
         acc ^= columns[low.bit_length() - 1]
         v ^= low
     return acc
+
+
+def compose(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
+    """Column list of outer o inner."""
+    return [combine(outer, c) for c in inner]
 
 
 def vector_to_bits(v: int, n: int) -> list[int]:
@@ -134,9 +143,6 @@ class BitMatrix:
                 r ^= low
         return out
 
-    def get(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def mul_vec(self, v: int) -> int:
         """m @ v for a column vector v in F2^cols."""
         if v >> self.cols:
@@ -160,11 +166,6 @@ class BitMatrix:
                 rr ^= low
             data.append(acc)
         return BitMatrix(self.rows, other.cols, data)
-
-    def __add__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.shape != other.shape:
-            raise F2Error("shape mismatch in sum")
-        return BitMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self.data, other.data)])
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_columns(self.data, self.cols)
@@ -326,11 +327,12 @@ def column_space(m: BitMatrix) -> Subspace:
     return Subspace.from_rows(m.columns(), m.rows)
 
 
-def rank(m: BitMatrix) -> int:
-    """Rank of m, read from a semi-echelon span of its rows."""
-    acc = EchelonAccumulator(m.cols)
-    for r in m.data:
-        acc.add(r)
+def rank(vectors: Iterable[int]) -> int:
+    """Dimension of the span of ``vectors``: the rank of a matrix given by
+    its rows (``m.data``) or by its columns alike."""
+    acc = EchelonAccumulator(0)  # the width matters only to subspace()
+    for v in vectors:
+        acc.add(v)
     return acc.rank
 
 
@@ -387,31 +389,26 @@ class Solver:
         return None if r >> self._shift else r
 
 
-def quotient_section(ambient_dim: int, sub: Subspace) -> tuple[BitMatrix, BitMatrix]:
-    """Projection onto and section from the canonical complement of ``sub``.
+def quotient_section(ambient_dim: int, sub: Subspace) -> tuple[list[int], list[int]]:
+    """Projection onto the canonical complement of ``sub``, and its section.
 
-    The complement is coordinatized by the non-pivot columns of the
-    subspace basis.  Returns (proj, lift) with proj: F2^n -> F2^q and
-    lift: F2^q -> F2^n satisfying proj @ lift = identity and
-    kernel(proj) = sub.
+    The complement is coordinatized by ``free``, the non-pivot coordinates
+    of the subspace basis.  Returns (proj, free): proj is the column list of
+    the projection F2^n -> F2^q, q = len(free), with kernel(proj) = sub and
+    proj[free[k]] = e_k, so the section sends e_k to coordinate free[k].
+    A basis row holds its pivot and otherwise only free coordinates, so
+    the pivot's column is the projection of the rest of its row.
     """
     if sub.ambient_dim != ambient_dim:
         raise F2Error("subspace ambient dimension mismatch")
     pivot_set = set(sub.pivots)
-    free_cols = [j for j in range(ambient_dim) if j not in pivot_set]
-    proj_rows = []
-    for jk in free_cols:
-        row = 1 << jk
-        for r, p in zip(sub.basis.data, sub.pivots):
-            if (r >> jk) & 1:
-                row |= 1 << p
-        proj_rows.append(row)
-    proj = BitMatrix(len(free_cols), ambient_dim, proj_rows)
-    lift_rows = [0] * ambient_dim
-    for k, jk in enumerate(free_cols):
-        lift_rows[jk] = 1 << k
-    lift = BitMatrix(ambient_dim, len(free_cols), lift_rows)
-    return proj, lift
+    free = [j for j in range(ambient_dim) if j not in pivot_set]
+    proj = [0] * ambient_dim
+    for k, j in enumerate(free):
+        proj[j] = 1 << k
+    for r, p in zip(sub.basis.data, sub.pivots):
+        proj[p] = combine(proj, r ^ (1 << p))
+    return proj, free
 
 
 class EchelonAccumulator:

@@ -1,7 +1,12 @@
 """Degreewise-finite graded left modules over the Steenrod algebra.
 
-A module is stored as dimensions per degree plus one action matrix per
-(Sq^k, source degree); a map is one matrix per degree.  Free modules, and
+A module is stored as dimensions per degree plus one action per (Sq^k,
+source degree); a map is one linear map per degree.  Both are column lists,
+the form of :mod:`extlab.f2core` whose entry j is the image of basis vector
+j, applied with :func:`~extlab.f2core.combine` and composed with
+:func:`~extlab.f2core.compose`.  :class:`~extlab.f2core.BitMatrix` rows are
+built only for :meth:`GradedModule.digest`; chart maps and the reference
+functions keep the row form.  Free modules, and
 every P_s of a resolution, keep their basis order in a :class:`FreeIndexer`:
 (generator, admissible monomial) in generator-major order.  Its initial
 generators may come in any degree order; ``add_generator``, with which a
@@ -24,6 +29,7 @@ from .f2core import (
     BitMatrix,
     Subspace,
     combine,
+    compose,
     image_and_kernel,
     quotient_section,
     rank as f2rank,
@@ -41,10 +47,11 @@ class ExactnessError(RuntimeError):
 class GradedModule:
     """A graded left module, valid for degrees t <= max_t.
 
-    ``actions[(k, t)]`` is the matrix of Sq^k from degree t to degree t+k;
-    missing keys mean the zero map.  ``labels[t]`` are display names for the
-    degree-t basis.  ``free_basis`` is set for free modules: the
-    :class:`FreeIndexer` that orders their basis.
+    ``actions[(k, t)]`` is the column list of Sq^k from degree t to degree
+    t+k; missing keys mean the zero map.  The module keeps the lists it is
+    given, which nobody may change afterwards.  ``labels[t]`` are display
+    names for the degree-t basis.  ``free_basis`` is set for free modules:
+    the :class:`FreeIndexer` that orders their basis.
     """
 
     __slots__ = ("algebra", "max_t", "dims", "labels", "free_basis", "_actions", "_digest")
@@ -54,7 +61,7 @@ class GradedModule:
         algebra: AlgebraTable,
         max_t: int,
         dims: Sequence[int],
-        actions: dict[tuple[int, int], BitMatrix],
+        actions: dict[tuple[int, int], list[int]],
         labels: Optional[Sequence[Sequence[str]]] = None,
         free_basis: Optional[FreeIndexer] = None,
     ):
@@ -65,12 +72,14 @@ class GradedModule:
         self.algebra = algebra
         self.max_t = max_t
         self.dims = tuple(dims)
-        for (k, t), mat in actions.items():
+        for (k, t), cols in actions.items():
             if k < 1 or t < 0 or t + k > max_t:
                 raise ValueError(f"action key ({k},{t}) outside window")
-            if mat.shape != (self.dims[t + k], self.dims[t]):
-                raise ValueError(f"action ({k},{t}) has shape {mat.shape}")
-        self._actions = {key: mat for key, mat in actions.items() if not mat.is_zero()}
+            if len(cols) != self.dims[t]:
+                raise ValueError(f"action ({k},{t}) has {len(cols)} columns, not {self.dims[t]}")
+            if any(c >> self.dims[t + k] for c in cols):
+                raise ValueError(f"action ({k},{t}) has a bit beyond degree {t + k}")
+        self._actions = {key: cols for key, cols in actions.items() if any(cols)}
         if labels is None:
             labels = [tuple(f"e{t}_{i}" for i in range(self.dims[t])) for t in range(max_t + 1)]
         self.labels = tuple(tuple(l) for l in labels)
@@ -80,26 +89,20 @@ class GradedModule:
     def dim(self, t: int) -> int:
         return self.dims[t] if 0 <= t <= self.max_t else 0
 
-    def action(self, k: int, t: int) -> BitMatrix:
+    def action(self, k: int, t: int) -> list[int]:
+        """Columns of Sq^k from degree t: the identity for k = 0, zeros when
+        the action is absent."""
         if k == 0:
-            return BitMatrix.identity(self.dims[t])
-        mat = self._actions.get((k, t))
-        if mat is None:
-            mat = BitMatrix.zero(self.dim(t + k), self.dims[t])
-        return mat
+            return [1 << i for i in range(self.dims[t])]
+        cols = self._actions.get((k, t))
+        return [0] * self.dims[t] if cols is None else cols
 
-    def column_action(self):
-        """``apply_sq(k, t, vec)``: Sq^k on a degree-t vector, combined over
-        the columns of ``action(k, t)``, which each applier keeps once taken."""
-        columns: dict[tuple[int, int], list[int]] = {}
-
-        def apply_sq(k: int, t: int, vec: int) -> int:
-            cols = columns.get((k, t))
-            if cols is None:
-                cols = columns[(k, t)] = self.action(k, t).columns()
-            return combine(cols, vec)
-
-        return apply_sq
+    def apply_sq(self, k: int, t: int, vec: int) -> int:
+        """Sq^k on a degree-t vector."""
+        if k == 0:
+            return vec
+        cols = self._actions.get((k, t))
+        return 0 if cols is None else combine(cols, vec)
 
     def digest(self) -> str:
         """Content hash of (max_t, dims, actions); labels are presentation only."""
@@ -107,9 +110,9 @@ class GradedModule:
             h = hashlib.sha256()
             h.update(b"EXTMOD1")
             h.update(repr((self.max_t, self.dims)).encode())
-            for key in sorted(self._actions):
-                mat = self._actions[key]
-                h.update(repr((key, mat.shape, mat.data)).encode())
+            for (k, t), cols in sorted(self._actions.items()):
+                mat = BitMatrix.from_columns(cols, self.dims[t + k])
+                h.update(repr(((k, t), mat.shape, mat.data)).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -117,7 +120,7 @@ class GradedModule:
         """Verify the Adem relations hold on the stored action matrices.
 
         For every inadmissible pair (a, b), action(a) o action(b) must equal
-        the sum of the admissible rewriting applied as matrices.  The full
+        the sum of the admissible rewriting applied as maps.  The full
         check is quadratic in max_t; ``sample_only`` restricts to a <= 4.
         """
         alg = self.algebra
@@ -127,13 +130,14 @@ class GradedModule:
                 if a >= 2 * b:
                     continue
                 for t in range(0, self.max_t - a - b + 1):
-                    lhs = self.action(a, t + b) @ self.action(b, t)
-                    rhs = BitMatrix.zero(self.dim(t + a + b), self.dim(t))
+                    lhs = compose(self.action(a, t + b), self.action(b, t))
+                    rhs = [0] * self.dim(t)
                     for mono in alg.terms(alg.adem_reduce([a, b])):
                         if len(mono) == 1:
-                            rhs = rhs + self.action(mono[0], t)
+                            term = self.action(mono[0], t)
                         else:
-                            rhs = rhs + (self.action(mono[0], t + mono[1]) @ self.action(mono[1], t))
+                            term = compose(self.action(mono[0], t + mono[1]), self.action(mono[1], t))
+                        rhs = [x ^ y for x, y in zip(rhs, term)]
                     if lhs != rhs:
                         raise ExactnessError(f"Adem relation Sq^{a}Sq^{b} fails at degree {t}")
 
@@ -143,54 +147,42 @@ class GradedModule:
 
 @dataclass
 class ModuleMap:
-    """A degreewise linear map; linearity over the algebra is an invariant."""
+    """A degreewise linear map; linearity over the algebra is an invariant.
+
+    ``columns[t]`` is the column list of the map in degree t.
+    """
 
     domain: GradedModule
     codomain: GradedModule
-    mats: tuple[BitMatrix, ...]
+    columns: tuple[list[int], ...]
 
     def __post_init__(self):
         bound = self.max_t
-        if len(self.mats) != bound + 1:
-            raise ValueError("need one matrix per degree 0..max_t")
-        for t, mat in enumerate(self.mats):
-            if mat.shape != (self.codomain.dim(t), self.domain.dim(t)):
-                raise ValueError(f"matrix at degree {t} has shape {mat.shape}")
+        if len(self.columns) != bound + 1:
+            raise ValueError("need one column list per degree 0..max_t")
+        for t, cols in enumerate(self.columns):
+            if len(cols) != self.domain.dim(t):
+                raise ValueError(f"degree {t} has {len(cols)} columns, not {self.domain.dim(t)}")
+            if any(c >> self.codomain.dim(t) for c in cols):
+                raise ValueError(f"a column at degree {t} has a bit beyond the codomain")
 
     @property
     def max_t(self) -> int:
         return min(self.domain.max_t, self.codomain.max_t)
 
-    def mat(self, t: int) -> BitMatrix:
-        return self.mats[t]
-
     def apply(self, t: int, v: int) -> int:
-        return self.mats[t].mul_vec(v)
+        return combine(self.columns[t], v)
 
     def check_linearity(self, ks: Optional[Sequence[int]] = None) -> None:
-        """mats[t+k] o dom.action = cod.action o mats[t] for all k, t in range."""
+        """columns[t+k] o dom.action = cod.action o columns[t] for all k, t in range."""
         bound = self.max_t
         krange = ks if ks is not None else range(1, bound + 1)
         for k in krange:
             for t in range(0, bound - k + 1):
-                lhs = self.mats[t + k] @ self.domain.action(k, t)
-                rhs = self.codomain.action(k, t) @ self.mats[t]
+                lhs = compose(self.columns[t + k], self.domain.action(k, t))
+                rhs = compose(self.codomain.action(k, t), self.columns[t])
                 if lhs != rhs:
                     raise ExactnessError(f"map is not linear over Sq^{k} at degree {t}")
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self o other."""
-        if other.codomain is not self.domain and other.codomain.dims != self.domain.dims:
-            raise ValueError("composition domain mismatch")
-        bound = min(self.max_t, other.max_t)
-        return ModuleMap(
-            other.domain,
-            self.codomain,
-            tuple(self.mats[t] @ other.mats[t] for t in range(bound + 1)),
-        )
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats)
 
 
 def trivial_module(algebra: AlgebraTable, max_t: int, shift: int = 0) -> GradedModule:
@@ -358,7 +350,7 @@ def free_module(algebra: AlgebraTable, shifts: Sequence[int], max_t: int) -> Gra
             names.append(f"g{g}[{shifts[g]}]*{word}" if len(shifts) > 1 else word)
         labels.append(tuple(names))
     actions = {
-        (k, t): BitMatrix.from_columns(basis.action_columns(k, t), basis.dim(t + k))
+        (k, t): basis.action_columns(k, t)
         for k in range(1, max_t + 1)
         for t in range(0, max_t - k + 1)
     }
@@ -382,12 +374,9 @@ def map_from_generators(
     for g, d in enumerate(basis.gen_degrees):
         if d <= bound and targets[g] >> codomain.dim(d):
             raise ValueError(f"target {g} does not live in codomain degree {d}")
-    apply_sq = codomain.column_action()
     memo: dict[int, list[int]] = {}
     mp = ModuleMap(dom, codomain, tuple(
-        BitMatrix.from_columns(
-            basis.map_columns(t, targets.__getitem__, apply_sq, memo), codomain.dim(t)
-        )
+        basis.map_columns(t, targets.__getitem__, codomain.apply_sq, memo)
         for t in range(bound + 1)
     ))
     mp.check_linearity(ks=_generating_squares(bound))
@@ -409,11 +398,11 @@ class ShortExactSequence:
         for t in range(bound + 1):
             if self.sub.dim(t) + self.quot.dim(t) != self.mid.dim(t):
                 raise ExactnessError(f"rank mismatch at degree {t}")
-            if f2rank(self.inclusion.mat(t)) != self.sub.dim(t):
+            if f2rank(self.inclusion.columns[t]) != self.sub.dim(t):
                 raise ExactnessError(f"inclusion not injective at degree {t}")
-            if f2rank(self.projection.mat(t)) != self.quot.dim(t):
+            if f2rank(self.projection.columns[t]) != self.quot.dim(t):
                 raise ExactnessError(f"projection not surjective at degree {t}")
-            if not self.projection.mat(t).__matmul__(self.inclusion.mat(t)).is_zero():
+            if any(compose(self.projection.columns[t], self.inclusion.columns[t])):
                 raise ExactnessError(f"projection o inclusion nonzero at degree {t}")
 
 
@@ -448,19 +437,19 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     alg = dom.algebra
     kers: list[Subspace] = []
     imgs: list[Subspace] = []
-    projs: list[BitMatrix] = []
-    lifts: list[BitMatrix] = []
+    projs: list[list[int]] = []
+    frees: list[list[int]] = []
     for t in range(bound + 1):
-        image, kernel = image_and_kernel(f.mat(t).columns(), cod.dim(t))
+        image, kernel = image_and_kernel(f.columns[t], cod.dim(t))
         kers.append(kernel)
         imgs.append(image.subspace())
-        proj, lift = quotient_section(cod.dim(t), imgs[t])
+        proj, free = quotient_section(cod.dim(t), imgs[t])
         projs.append(proj)
-        lifts.append(lift)
+        frees.append(free)
 
     k_dims = [kers[t].rank for t in range(bound + 1)]
     i_dims = [imgs[t].rank for t in range(bound + 1)]
-    c_dims = [cod.dim(t) - imgs[t].rank for t in range(bound + 1)]
+    c_dims = [len(frees[t]) for t in range(bound + 1)]
 
     K = GradedModule(
         alg, bound, k_dims, _induced_sub_actions_window(dom, kers, bound),
@@ -473,30 +462,24 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     c_actions = {}
     for k in range(1, bound + 1):
         for t in range(0, bound - k + 1):
-            c_actions[(k, t)] = projs[t + k] @ cod.action(k, t) @ lifts[t]
-    pivot_free_labels = []
-    for t in range(bound + 1):
-        pivot_set = set(imgs[t].pivots)
-        pivot_free_labels.append(
-            tuple(cod.labels[t][j] for j in range(cod.dim(t)) if j not in pivot_set)
-        )
-    C = GradedModule(alg, bound, c_dims, c_actions, labels=pivot_free_labels)
+            act = cod.action(k, t)
+            c_actions[(k, t)] = [combine(projs[t + k], act[j]) for j in frees[t]]
+    C = GradedModule(
+        alg, bound, c_dims, c_actions,
+        labels=[tuple(cod.labels[t][j] for j in frees[t]) for t in range(bound + 1)],
+    )
 
-    i_K = ModuleMap(K, dom, tuple(
-        BitMatrix.from_columns(list(kers[t].basis.data), dom.dim(t)) for t in range(bound + 1)
-    ))
-    p_I_mats = []
+    i_K = ModuleMap(K, dom, tuple(list(kers[t].basis.data) for t in range(bound + 1)))
+    p_I_cols = []
     for t in range(bound + 1):
         cols = []
-        for j, col in enumerate(f.mat(t).columns()):
+        for col in f.columns[t]:
             coords = imgs[t].coordinates(col)
             assert coords is not None
             cols.append(coords)
-        p_I_mats.append(BitMatrix.from_columns(cols, i_dims[t]))
-    p_I = ModuleMap(dom, I, tuple(p_I_mats))
-    i_I = ModuleMap(I, cod, tuple(
-        BitMatrix.from_columns(list(imgs[t].basis.data), cod.dim(t)) for t in range(bound + 1)
-    ))
+        p_I_cols.append(cols)
+    p_I = ModuleMap(dom, I, tuple(p_I_cols))
+    i_I = ModuleMap(I, cod, tuple(list(imgs[t].basis.data) for t in range(bound + 1)))
     p_C = ModuleMap(cod, C, tuple(projs))
     fac = FactoredMap(f, K, I, C, i_K, p_I, i_I, p_C)
     fac.kernel_sequence().check_exact()
@@ -514,18 +497,17 @@ def _generating_squares(bound: int) -> list[int]:
 
 def _induced_sub_actions_window(
     ambient: GradedModule, subs: list[Subspace], bound: int
-) -> dict[tuple[int, int], BitMatrix]:
+) -> dict[tuple[int, int], list[int]]:
     actions = {}
     for k in range(1, bound + 1):
         for t in range(0, bound - k + 1):
-            amb = ambient.action(k, t).columns()
             cols = []
             for v in subs[t].basis.data:
-                coords = subs[t + k].coordinates(combine(amb, v))
+                coords = subs[t + k].coordinates(ambient.apply_sq(k, t, v))
                 if coords is None:
                     raise ExactnessError(f"Sq^{k} escapes the subspace at degree {t}")
                 cols.append(coords)
-            actions[(k, t)] = BitMatrix.from_columns(cols, subs[t + k].rank)
+            actions[(k, t)] = cols
     return actions
 
 
@@ -547,57 +529,3 @@ def a_mod_sq1(algebra: AlgebraTable, max_t: int) -> GradedModule:
     """
     return sq1_cokernel_factorization(algebra, max_t).C
 
-
-def direct_sum(
-    modules: Sequence[GradedModule],
-    algebra: Optional[AlgebraTable] = None,
-    max_t: Optional[int] = None,
-) -> GradedModule:
-    """Block direct sum; the window is the smallest of the summands'."""
-    if not modules:
-        if algebra is None or max_t is None:
-            raise ValueError("empty sum needs explicit algebra and max_t")
-        return GradedModule(algebra, max_t, [0] * (max_t + 1), {})
-    alg = modules[0].algebra
-    bound = min(m.max_t for m in modules)
-    if max_t is not None:
-        bound = min(bound, max_t)
-    dims = [sum(m.dim(t) for m in modules) for t in range(bound + 1)]
-    labels = []
-    for t in range(bound + 1):
-        names = []
-        for i, m in enumerate(modules):
-            names.extend(f"s{i}:{l}" for l in m.labels[t])
-        labels.append(tuple(names))
-    actions = {}
-    for k in range(1, bound + 1):
-        for t in range(0, bound - k + 1):
-            cols = []
-            in_offs = []
-            off = 0
-            for m in modules:
-                in_offs.append(off)
-                off += m.dim(t + k)
-            for i, m in enumerate(modules):
-                for col in m.action(k, t).columns():
-                    cols.append(col << in_offs[i])
-            actions[(k, t)] = BitMatrix.from_columns(cols, dims[t + k])
-    return GradedModule(alg, bound, dims, actions, labels)
-
-
-def suspend(m: GradedModule, a: int) -> GradedModule:
-    """Degree shift by a; negative shifts require the low degrees to vanish."""
-    if a < 0 and any(m.dims[t] for t in range(min(-a, m.max_t + 1))):
-        raise ValueError("negative suspension hits nonzero degrees")
-    new_max = m.max_t + a
-    if new_max < 0:
-        raise ValueError("suspension empties the window")
-    dims = [m.dim(t - a) if t - a >= 0 else 0 for t in range(new_max + 1)]
-    labels = [
-        m.labels[t - a] if 0 <= t - a <= m.max_t else () for t in range(new_max + 1)
-    ]
-    actions = {}
-    for (k, t), mat in m._actions.items():
-        if 0 <= t + a and t + a + k <= new_max:
-            actions[(k, t + a)] = mat
-    return GradedModule(m.algebra, new_max, dims, actions, labels)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .f2core import BitMatrix, Solver, combine, rank as f2rank
+from .f2core import BitMatrix, Solver, combine, compose, rank as f2rank
 from .gradedmod import ShortExactSequence
 from .resolve import ExtChart, Resolution
 
@@ -64,7 +64,7 @@ class ChainLift:
     def sigma_columns(self, t: int) -> list[int]:
         """Columns of sigma from (P_0 quot)_t to mid_t."""
         return self.res_quot.indexers[0].map_columns(
-            t, self.sigma.__getitem__, self.ses.mid.column_action(), self._sigma_cols
+            t, self.sigma.__getitem__, self.ses.mid.apply_sq, self._sigma_cols
         )
 
     def tau_columns(self, s: int, t: int) -> list[int]:
@@ -78,8 +78,7 @@ class ChainLift:
 
     def _augmentation_columns(self, t: int) -> list[int]:
         """Columns of incl o aug_sub (+) sigma : (Q_0)_t -> mid_t."""
-        incl = self.ses.inclusion.mat(t).columns()
-        below = [combine(incl, c) for c in self.res_sub.diff_columns(0, t)]
+        below = compose(self.ses.inclusion.columns[t], self.res_sub.diff_columns(0, t))
         return below + self.sigma_columns(t)
 
     def verify(self) -> None:
@@ -94,18 +93,17 @@ class ChainLift:
         ses, rs, rq = self.ses, self.res_sub, self.res_quot
         for t in range(self.max_t + 1):
             eps = self._augmentation_columns(t)
-            # the rows of this matrix are eps's columns; rank is transpose-invariant
-            if f2rank(BitMatrix(len(eps), ses.mid.dim(t), eps)) != ses.mid.dim(t):
+            if f2rank(eps) != ses.mid.dim(t):
                 raise AssertionError(f"horseshoe base not surjective at degree {t}")
             if self.max_s >= 1:
                 below = eps[: rs.indexers[0].dim(t)]
-                lhs = [combine(below, c) for c in self.tau_columns(1, t)]
-                rhs = [combine(self.sigma_columns(t), c) for c in rq.diff_columns(1, t)]
+                lhs = compose(below, self.tau_columns(1, t))
+                rhs = compose(self.sigma_columns(t), rq.diff_columns(1, t))
                 if lhs != rhs:
                     raise AssertionError(f"tau_1 recurrence fails at degree {t}")
             for s in range(2, self.max_s + 1):
-                lhs = [combine(rs.diff_columns(s - 1, t), c) for c in self.tau_columns(s, t)]
-                rhs = [combine(self.tau_columns(s - 1, t), c) for c in rq.diff_columns(s, t)]
+                lhs = compose(rs.diff_columns(s - 1, t), self.tau_columns(s, t))
+                rhs = compose(self.tau_columns(s - 1, t), rq.diff_columns(s, t))
                 if lhs != rhs:
                     raise AssertionError(f"tau recurrence fails at (s={s}, t={t})")
 
@@ -133,8 +131,8 @@ def horseshoe_lift(
         if solver is None:
             m, t = key
             if isinstance(m, str):
-                mat = getattr(ses, m).mat(t)
-                solver = Solver(mat.columns(), mat.rows)
+                mp = getattr(ses, m)
+                solver = Solver(mp.columns[t], mp.codomain.dim(t))
             else:
                 solver = Solver(res_sub.diff_columns(m, t), res_sub.ambient_dim(m, t))
             solvers[key] = solver
@@ -191,7 +189,7 @@ class BoundaryMap:
         return got
 
     def rank(self, s: int, t: int) -> int:
-        return f2rank(self.mat(s, t))
+        return f2rank(self.mat(s, t).data)
 
     def kernel_dim(self, s: int, t: int) -> int:
         return self.source_chart.dim(s, t) - self.rank(s, t)

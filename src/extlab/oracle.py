@@ -212,7 +212,7 @@ def oracle_ext_dims(kind: str, max_s: int, max_t: int) -> dict[tuple[int, int], 
     for s in range(max_s + 1):
         for t in range(max_t + 1):
             n = sum(1 for d in gen_degrees[s + 1] if d == t)
-            rank_in = rank(unit_matrix(s, t)) if s >= 1 else 0
-            rank_out = rank(unit_matrix(s + 1, t))
+            rank_in = rank(unit_matrix(s, t).data) if s >= 1 else 0
+            rank_out = rank(unit_matrix(s + 1, t).data)
             dims[(s, t)] = n - rank_in - rank_out
     return dims

@@ -29,7 +29,7 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import groupby
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .f2core import BitMatrix, EchelonAccumulator, combine, image_and_kernel
@@ -141,12 +141,7 @@ class Resolution:
 
     def diff_columns(self, s: int, t: int) -> list[int]:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
-        if s == 0:
-            # Sq^k at degree td serves only the build of degree td + k, which
-            # happens once, so the applier and its columns live for this call.
-            apply_sq = self.module.column_action()
-        else:
-            apply_sq = self.indexers[s - 1].apply_sq
+        apply_sq = self.module.apply_sq if s == 0 else self.indexers[s - 1].apply_sq
         return self.indexers[s].map_columns(t, lambda g: self.gen_target(s, g), apply_sq, self._cols[s])
 
     def diff_matrix(self, s: int, t: int) -> BitMatrix:
@@ -178,34 +173,40 @@ class Resolution:
                             f"unit coefficient on generator {j} in d(g_{s},{g})"
                         )
 
-    def verify_independent(self) -> None:
-        """The new generators of each bidegree map independently of the
-        older columns, so none of them is redundant."""
-        for s in range(self.max_s + 1):
-            degrees = self.indexers[s].gen_degrees
-            for t, group in groupby(range(len(degrees)), key=degrees.__getitem__):
-                gens = list(group)
+    def verify_exactness(self) -> None:
+        """Exactness, and no redundant generator, by ranks in one pass.
+
+        One accumulator per (s, t) takes the columns of d_s over the older
+        generators, then each new generator's column, which must raise the
+        rank.  The ranks must then satisfy rank(d_0)_t = dim M_t and
+        rank(d_s)_t + rank(d_{s+1})_t = dim(P_s)_t for s < max_s.  With
+        d o d = 0 the image of d_{s+1} lies in the kernel of d_s, and the
+        rank sum makes the two equal.  A resolution that also passes
+        :meth:`verify_minimal` is then a minimal resolution of the module in
+        its window, unique up to isomorphism, so its generator counts are Ext.
+        """
+        for t in range(self.max_t + 1):
+            need = self.module.dim(t)  # the rank d_s must reach
+            for s in range(self.max_s + 1):
+                degrees = self.indexers[s].gen_degrees  # non-decreasing
+                first, last = bisect_left(degrees, t), bisect_right(degrees, t)
                 cols = self.diff_columns(s, t)  # the new generators' columns come last
+                old = len(cols) - (last - first)
                 acc = EchelonAccumulator(self.ambient_dim(s, t))
-                for c in cols[:-len(gens)]:
+                for c in cols[:old]:
                     acc.add(c)
-                for g, c in zip(gens, cols[-len(gens):]):
+                for g, c in zip(range(first, last), cols[old:]):
                     if not acc.add(c):
                         raise AssertionError(
                             f"generator {g} at (s={s}, t={t}) is redundant: "
                             "its image lies in the span of the older columns"
                         )
-
-    def verify_exactness(self) -> None:
-        """dim ker(d_s)_t = rank(d_{s+1})_t inside the validated window."""
-        for s in range(0, self.max_s):
-            for t in range(0, self.max_t + 1):
-                _, kernel = image_and_kernel(self.diff_columns(s, t), self.ambient_dim(s, t))
-                image, _ = image_and_kernel(self.diff_columns(s + 1, t), self.ambient_dim(s + 1, t))
-                if kernel.rank != image.rank:
+                if acc.rank != need:
                     raise AssertionError(
-                        f"exactness fails at (s={s}, t={t}): ker {kernel.rank} != im {image.rank}"
+                        f"exactness fails at (s={s}, t={t}): d_{s} has rank {acc.rank}, "
+                        f"exactness needs {need}"
                     )
+                need = len(cols) - acc.rank
 
     def chart(self) -> ExtChart:
         dims = tuple(
@@ -240,10 +241,6 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
             candidates = kernel.basis.data
     res.verify_d_squared()
     return res
-
-
-def ext_chart(res: Resolution) -> ExtChart:
-    return res.chart()
 
 
 # -- persistence ----------------------------------------------------------------
@@ -298,11 +295,13 @@ def save_resolution(res: Resolution, path: str) -> None:
 def load_resolution(path: str, module: GradedModule) -> Resolution:
     """Load and validate a cached resolution of ``module``.
 
-    Checks magic bytes, format version, the module content hash, minimality,
-    the d o d = 0 invariant and that no generator is redundant before
-    returning; any failure is a :class:`CacheError`.  A file that lacks a
-    generator passes every check: catching that needs exactness, which costs
-    about as much as resolving again.
+    Checks magic bytes, format version, the module content hash, that every
+    generator, augmentation and differential line lies in range, minimality,
+    the d o d = 0 invariant, and exactness with no redundant generator by
+    ranks (:meth:`Resolution.verify_exactness`), before returning; any
+    failure is a :class:`CacheError`.  A file that passes is a minimal
+    resolution of ``module`` in its window, so a missing or an extra
+    generator is caught.
     """
     try:
         with open(path, "r") as fh:
@@ -340,25 +339,36 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
         max_t = int(header["max_t"])
         res = Resolution(module, max_s, max_t)
         idx += 1
-        cur: Optional[tuple[int, int]] = None
+        cur: Optional[tuple[int, int, int]] = None
         for line in lines[idx:]:
             if line == "end":
                 break
             parts = line.split()
             if parts[0] == "gen":
                 s, g, t = int(parts[1]), int(parts[2]), int(parts[3])
+                if not (0 <= s <= max_s and 0 <= t <= max_t):
+                    raise CorruptFileError(f"generator {g} at (s={s}, t={t}) outside the window")
                 if res.indexers[s].add_generator(t) != g:
                     raise CorruptFileError("generator indices out of order")
                 res.diffs[s].append({})
                 if s == 0:
                     res.aug_vectors.append(0)
-                cur = (s, g)
+                cur = (s, g, t)
             elif parts[0] == "aug":
-                s, g = cur
-                res.aug_vectors[g] = int(parts[1], 16)
+                s, g, t = cur
+                vec = int(parts[1], 16)
+                if s != 0 or vec >> module.dim(t):
+                    raise CorruptFileError(f"aug line of g_{s},{g} out of range")
+                res.aug_vectors[g] = vec
             elif parts[0] == "d":
-                s, g = cur
+                s, g, t = cur
                 j, deg, coords = int(parts[1]), int(parts[2]), int(parts[3], 16)
+                below = res.indexers[s - 1].gen_degrees if s else []
+                if not (
+                    0 <= j < len(below) and deg == t - below[j] >= 0
+                    and not coords >> res.algebra.dim(deg)
+                ):
+                    raise CorruptFileError(f"d line of g_{s},{g} out of range: {line!r}")
                 res.diffs[s][g][j] = AlgebraElement(deg, coords)
             else:
                 raise CorruptFileError(f"unexpected line {line!r}")
@@ -367,7 +377,7 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
                 raise CorruptFileError("generator table does not match body")
         res.verify_minimal()
         res.verify_d_squared()
-        res.verify_independent()
+        res.verify_exactness()
     except CacheError:
         raise
     except AssertionError as exc:

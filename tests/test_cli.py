@@ -234,3 +234,48 @@ def test_redundant_generator_in_cache_is_logged_and_recomputed(capsys, caplog, t
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert name in warnings[0] and "generator 2 at (s=3, t=6) is redundant" in warnings[0]
+
+
+def _drop_top_generator(text):
+    """Delete the block of g_{3,1} (degree 6), the last one, and its gens line."""
+    head = text.split("gen 3 1 6\n")[0]
+    return head.replace("gens 3 6 1\n", "") + "end\n"
+
+
+def _replace_line(after, old, new):
+    """Replace the line ``old`` that follows the line ``after``."""
+    return lambda text: text.replace(f"{after}\n{old}\n", f"{after}\n{new}\n")
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [
+        (_drop_top_generator, "exactness fails at (s=3, t=6)"),
+        (_replace_line("gen 0 0 0", "aug 1", "aug 3"), "aug line of g_0,0 out of range"),
+        # a missing generator of P_2, a degree that is not t - 2, a bit beyond dim A_1
+        (_replace_line("gen 3 1 6", "d 0 4 1", "d 3 4 1"), "d line of g_3,1 out of range"),
+        (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 2 1"), "d line of g_2,0 out of range"),
+        (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 1 3"), "d line of g_2,0 out of range"),
+    ],
+    ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit"],
+)
+def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
+    tamper, reason, capsys, caplog, tmp_path
+):
+    argv = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code, fresh_out, _ = run(argv, capsys)
+    assert code == 0
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    fresh_file = path.read_bytes()
+    bad = tamper(fresh_file.decode())
+    assert bad != fresh_file.decode()
+    path.write_text(bad)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == fresh_out
+    assert path.read_bytes() == fresh_file
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert name in warnings[0] and reason in warnings[0]

@@ -54,3 +54,44 @@ def test_every_import_is_used(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# Top-level names that nothing in the library calls, kept on purpose.
+REFERENCES = (
+    "column_space",  # the reference that image_and_kernel's image is tested against
+    "compare_projection_filtration",  # the paper's filtration comparison, run by the acceptance suite
+)
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names, attribute names and string-annotation names used under node."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    for annotation in _annotations(node):
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= _referenced_names(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def test_every_top_level_helper_is_used():
+    """Each top-level function and class of the library is referenced
+    somewhere in it outside its own definition."""
+    defined: dict[str, str] = {}
+    uses: list[tuple[str, set[str]]] = []  # (name defined by the statement, names it uses)
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            name = ""
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = stmt.name
+                defined[name] = path.name
+            uses.append((name, _referenced_names(stmt)))
+    dead = {
+        name: module for name, module in defined.items()
+        if name not in REFERENCES and not any(name in used for owner, used in uses if owner != name)
+    }
+    assert not dead, f"top-level names nothing in the library uses: {dead}"

@@ -12,7 +12,6 @@ from extlab.resolve import (
     HashMismatchError,
     VersionMismatchError,
     cached_resolution,
-    ext_chart,
     load_resolution,
     minimal_resolution,
     save_resolution,
@@ -51,7 +50,7 @@ def test_resolution_of_free_module(alg):
 def test_resolution_of_suspended_free(alg):
     res = minimal_resolution(free_module(alg, [5], 10), 4, 10)
     assert res.chart().nonzero() == [(0, 5, 1)]
-    assert ext_chart(res).dim(0, 5) == 1
+    assert res.chart().dim(0, 5) == 1
 
 
 def test_ext_f2_frozen_chart(res_f2):
