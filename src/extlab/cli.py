@@ -22,10 +22,14 @@ from . import render
 from .gradedmod import a_mod_sq1, free_module, trivial_module
 from .resolve import cached_resolution
 from .scenarios import ScenarioSpec, build_scenario, expected_e3, verify_scenario
-from .steenrod import AlgebraTable
+from .steenrod import AlgebraTable, milnor_basis_dims
 from .verify import SUITES, run_suites
 
 MODULE_SELECTORS = ("f2", "a", "a-mod-sq1")
+
+# Largest window accepted: (max_s + 1) x admissible monomials of degree
+# <= max_t, one free generator per filtration; (24, 64) has 131k cells.
+MAX_WINDOW_CELLS = 1_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,6 +84,17 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _check_window(parser: argparse.ArgumentParser, max_s: int, max_t: int) -> None:
+    """Exit 2 on bounds below 1 or past MAX_WINDOW_CELLS, before anything is built."""
+    if max_s < 1 or max_t < 1:
+        parser.error("--max-s and --max-t must be at least 1")
+    t = 0
+    while t < max_t:  # doubling, so an absurd max_t is counted no further than the ceiling
+        t = min(max_t, 2 * t + 32)
+        if (max_s + 1) * sum(milnor_basis_dims(t)) > MAX_WINDOW_CELLS:
+            parser.error(f"--max-s {max_s} --max-t {max_t} is too large (over {MAX_WINDOW_CELLS} cells)")
+
+
 def _parse_module(selector: str, parser: argparse.ArgumentParser, max_t: int):
     alg = AlgebraTable(max_t)
     if selector == "f2":
@@ -100,8 +115,7 @@ def _parse_module(selector: str, parser: argparse.ArgumentParser, max_t: int):
 
 
 def cmd_resolve(args, parser) -> int:
-    if args.max_s < 1 or args.max_t < 1:
-        parser.error("--max-s and --max-t must be at least 1")
+    _check_window(parser, args.max_s, args.max_t)
     module, name = _parse_module(args.module, parser, args.max_t)
     res = cached_resolution(module, args.max_s, args.max_t, _cache_dir(args))
     chart = res.chart()
@@ -120,8 +134,7 @@ def cmd_scenario(args, parser) -> int:
         parser.error(f"--kind {args.kind} requires --n")
     if args.kind in ("f", "f-conj") and args.n is not None:
         parser.error(f"--kind {args.kind} does not take --n")
-    if args.max_s < 1 or args.max_t < 1:
-        parser.error("--max-s and --max-t must be at least 1")
+    _check_window(parser, args.max_s, args.max_t)
     try:
         spec = ScenarioSpec(args.kind, args.max_s, args.max_t, n=args.n)
     except ValueError as exc:

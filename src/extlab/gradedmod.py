@@ -205,7 +205,8 @@ class FreeIndexer:
     tabulated on first use: ``offsets[g]`` is where generator g's block
     starts (or would start), ``offsets[-1]`` the dimension.
     ``add_generator`` clears the table, because a new generator changes
-    every degree at or above its own.
+    every degree at or above its own.  Sq^k acts block by block through the
+    algebra's ``sq_columns`` tables, shifted to the block's offset.
     """
 
     __slots__ = ("algebra", "gen_degrees", "_table")
@@ -254,15 +255,13 @@ class FreeIndexer:
         """(generator, generator degree, offset) for each block in degree t."""
         return self._degree(t)[0]
 
-    def position(self, g: int, mono: Monomial, t: int) -> int:
-        return self.offset(g, t) + self.algebra.index(mono)
-
     def map_columns(self, t: int, image, apply_sq, memo: dict[int, list[int]]) -> list[int]:
         """Degree-t columns of the module map sending generator g to image(g).
 
-        The column of (g, mono) is Sq^{mono[0]} applied, by
-        ``apply_sq(k, t, vec)`` in target coordinates, to the column of
-        (g, mono[1:]); ``memo`` holds the columns of each degree built so far.
+        The column of (g, Sq^a * tail) is Sq^a applied, by ``apply_sq(k, t,
+        vec)`` in target coordinates, to the column of (g, tail): in degree
+        t - a, at ``offsets[g]`` plus the tail index from ``AlgebraTable.heads``.
+        ``memo`` holds the columns of each degree built so far.
         """
         cols = memo.get(t)
         if cols is None:
@@ -271,10 +270,13 @@ class FreeIndexer:
                 if d == t:
                     cols.append(image(g))
                     continue
-                for mono in self.algebra.basis(t - d):
-                    k = mono[0]
-                    below = self.map_columns(t - k, image, apply_sq, memo)
-                    cols.append(apply_sq(k, t - k, below[self.position(g, mono[1:], t - k)]))
+                k = 0
+                for a, tail in self.algebra.heads(t - d):
+                    if a != k:  # monomials come grouped by first exponent
+                        k = a
+                        below = self.map_columns(t - k, image, apply_sq, memo)
+                        base = self._degree(t - k)[1][g]
+                    cols.append(apply_sq(k, t - k, below[base + tail]))
             memo[t] = cols
         return cols
 
@@ -286,32 +288,25 @@ class FreeIndexer:
 
     def action_columns(self, k: int, t: int) -> list[int]:
         """Columns of Sq^k from degree t to degree t + k."""
-        alg = self.algebra
+        sq_columns = self.algebra.sq_columns
         out_offsets = self._degree(t + k)[1]
         return [
-            alg.multiply_mono(k, 0, t - d, i) << out_offsets[g]
-            for g, d, _ in self.blocks(t)
-            for i in range(alg.dim(t - d))
+            c << out_offsets[g] for g, d, _ in self.blocks(t) for c in sq_columns(k, t - d)
         ]
 
     def apply_sq(self, k: int, t: int, vec: int) -> int:
         """Sq^k acting on a degree-t vector of the free module."""
         if k == 0 or vec == 0:
             return vec
-        alg = self.algebra
+        sq_columns = self.algebra.sq_columns
         out = 0
         out_offsets = self._degree(t + k)[1]
-        for g, d, off in reversed(self.blocks(t)):
+        for g, d, off in reversed(self._degree(t)[0]):
             block = vec >> off
             if not block:
                 continue
             vec ^= block << off
-            acc = 0
-            while block:
-                low = block & -block
-                acc ^= alg.multiply_mono(k, 0, t - d, low.bit_length() - 1)
-                block ^= low
-            out |= acc << out_offsets[g]
+            out |= combine(sq_columns(k, t - d), block) << out_offsets[g]
         return out
 
     def element_of(self, vec: int, t: int) -> dict[int, AlgebraElement]:

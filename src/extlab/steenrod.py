@@ -9,6 +9,13 @@ rewritten into this basis with the Adem relations
 binomial parity decided by Lucas' theorem.  An :class:`AlgebraTable` fixes a
 degree bound, enumerates the bases once, and memoizes products; elements are
 bit-vectors over the canonical basis ordering of their degree.
+
+Products apply tables ``sq_columns(k, n)``, the columns of Sq^k from degree
+n to n + k.  The column of a monomial m is (k, *m) when m is empty or m =
+(a, *tail) with k >= 2a, else the Adem sum over c of Sq^{k+a-c}(Sq^c tail):
+tables of the same total degree and a larger exponent k + a - c > k (as
+c <= k/2 < a), or of lower total degree, so the memoized recursion ends.
+``adem_reduce`` rewrites words directly; it is the tables' test reference.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2core import EchelonAccumulator
+from .f2core import EchelonAccumulator, combine
 
 
 class DegreeError(ValueError):
@@ -35,6 +42,21 @@ def binom_mod2(m: int, n: int) -> int:
     if n < 0 or m < 0 or n > m:
         return 0
     return 1 if (n & (m - n)) == 0 else 0
+
+
+def milnor_basis_dims(max_t: int) -> list[int]:
+    """Poincare series of the algebra from partitions into parts 2^i - 1.
+
+    A second, enumeration-free oracle for the basis dimensions.
+    """
+    dims = [1] + [0] * max_t
+    i = 1
+    while (1 << i) - 1 <= max_t:
+        p = (1 << i) - 1
+        for t in range(p, max_t + 1):
+            dims[t] += dims[t - p]
+        i += 1
+    return dims
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +120,11 @@ class AlgebraTable:
         self._index: list[dict[Monomial, int]] = [
             {m: i for i, m in enumerate(basis)} for basis in self._basis
         ]
-        self._product: dict[tuple[int, int, int, int], int] = {}
+        self._heads = [
+            tuple((m[0], self._index[t - m[0]][m[1:]]) if m else (0, 0) for m in basis)
+            for t, basis in enumerate(self._basis)
+        ]
+        self._sq: dict[tuple[int, int], list[int]] = {}
         self._antipode_sq: dict[int, int] = {0: 1}
         self._antipode_mono: dict[tuple[int, int], int] = {}
         self._decomposables: dict[int, EchelonAccumulator] = {}
@@ -180,15 +206,41 @@ class AlgebraTable:
 
     # -- multiplication ----------------------------------------------------
 
+    def heads(self, n: int) -> tuple[tuple[int, int], ...]:
+        """(first exponent a, index of the tail in degree n - a) of each
+        degree-n basis monomial; the unit gives (0, 0)."""
+        self.check_degree(n)
+        return self._heads[n]
+
+    def sq_columns(self, k: int, n: int) -> list[int]:
+        """Columns of left multiplication by Sq^k (k >= 1) from degree n to n + k."""
+        cols = self._sq.get((k, n))
+        if cols is None:
+            self.check_degree(n + k)
+            index = self._index[n + k]
+            cols = []
+            for m, (a, tail) in zip(self._basis[n], self.heads(n)):
+                if k >= 2 * a:
+                    cols.append(1 << index[(k,) + m])
+                    continue
+                acc = 0
+                for term in _adem_pair(k, a):
+                    if len(term) == 1:
+                        acc ^= self.sq_columns(term[0], n - a)[tail]
+                    else:
+                        inner = self.sq_columns(term[1], n - a)[tail]
+                        acc ^= combine(self.sq_columns(term[0], n - a + term[1]), inner)
+                cols.append(acc)
+            self._sq[(k, n)] = cols
+        return cols
+
     def multiply_mono(self, da: int, ia: int, db: int, ib: int) -> int:
-        """Coords of basis[da][ia] * basis[db][ib] in degree da+db."""
-        key = (da, ia, db, ib)
-        cached = self._product.get(key)
-        if cached is not None:
-            return cached
-        word = list(self._basis[da][ia] + self._basis[db][ib])
-        coords = self.adem_reduce(word).coords if word else 1
-        self._product[key] = coords
+        """Coords of basis[da][ia] * basis[db][ib] in degree da+db: the
+        letters of the left factor applied right to left."""
+        coords, deg = 1 << ib, db
+        for e in reversed(self._basis[da][ia]):
+            coords = combine(self.sq_columns(e, deg), coords)
+            deg += e
         return coords
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -207,12 +259,6 @@ class AlgebraTable:
                 bc ^= lb
         return AlgebraElement(t, result)
 
-    def sq_times(self, k: int, x: AlgebraElement) -> AlgebraElement:
-        """Left multiplication Sq^k * x (k = 0 is the identity)."""
-        if k == 0:
-            return x
-        return self.multiply(self.sq(k), x)
-
     # -- antipode ------------------------------------------------------------
 
     def antipode_sq(self, n: int) -> AlgebraElement:
@@ -223,7 +269,7 @@ class AlgebraTable:
                 continue
             acc = 0
             for j in range(m):
-                acc ^= self.sq_times(m - j, AlgebraElement(j, self._antipode_sq[j])).coords
+                acc ^= combine(self.sq_columns(m - j, j), self._antipode_sq[j])
             self._antipode_sq[m] = acc
         return AlgebraElement(n, self._antipode_sq[n])
 

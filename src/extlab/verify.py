@@ -28,7 +28,7 @@ from .scenarios import (
     kernel_image_lemma_check,
     verify_scenario,
 )
-from .steenrod import AlgebraElement, AlgebraTable
+from .steenrod import AlgebraElement, AlgebraTable, milnor_basis_dims
 
 SUITES = ("steenrod", "resolution", "les", "scenarios")
 
@@ -59,21 +59,6 @@ class SuiteReport:
             self.checks.append(
                 Check(suite, name, False, detail=str(exc), seconds=time.perf_counter() - start)
             )
-
-
-def milnor_basis_dims(max_t: int) -> list[int]:
-    """Poincare series of the algebra from partitions into parts 2^i - 1.
-
-    A second, enumeration-free oracle for the basis dimensions.
-    """
-    dims = [1] + [0] * max_t
-    i = 1
-    while (1 << i) - 1 <= max_t:
-        p = (1 << i) - 1
-        for t in range(p, max_t + 1):
-            dims[t] += dims[t - p]
-        i += 1
-    return dims
 
 
 def free_chart(shifts, max_s: int, max_t: int) -> ExtChart:

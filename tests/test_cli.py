@@ -4,6 +4,8 @@ import os
 import pytest
 
 from extlab.cli import main
+from extlab.resolve import Resolution
+from extlab.steenrod import AlgebraTable
 
 
 def run(argv, capsys):
@@ -72,6 +74,42 @@ def test_resolve_bad_bounds_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["resolve", "--module", "f2", "--max-s", "0", "--max-t", "4"])
     assert info.value.code == 2
+
+
+class _Built(Exception):
+    """Raised by the guard below where a table or a resolution would be built."""
+
+
+@pytest.fixture
+def guard_construction(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise _Built(type(self).__name__)
+
+    monkeypatch.setattr(AlgebraTable, "__init__", refuse)
+    monkeypatch.setattr(Resolution, "__init__", refuse)
+
+
+COMMANDS = [["resolve", "--module", "f2"], ["scenario", "--kind", "f"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("max_s, max_t", [("1000000000", "46"), ("18", "1000000000")])
+def test_absurd_bounds_exit_2_before_building(command, max_s, max_t, guard_construction, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--max-s", max_s, "--max-t", max_t, "--no-cache"])
+    assert info.value.code == 2
+    assert f"--max-s {max_s} --max-t {max_t} is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, max_s, max_t", [
+    (COMMANDS[0], 24, 64),  # the largest resolve window in use
+    (COMMANDS[0], 18, 46),  # the benchmark's resolve
+    (COMMANDS[1], 20, 60),  # the largest scenario window in use
+    (COMMANDS[1], 14, 38),  # the benchmark's scenario
+])
+def test_windows_in_use_pass_the_bound_check(command, max_s, max_t, guard_construction):
+    with pytest.raises(_Built):
+        main([*command, "--max-s", str(max_s), "--max-t", str(max_t), "--no-cache"])
 
 
 def test_scenario_ok(capsys, tmp_path):

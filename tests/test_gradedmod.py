@@ -193,7 +193,7 @@ def test_free_indexer_with_unsorted_generators(alg):
     assert idx.dim(4) == 1 + alg.dim(2) + alg.dim(4)
     assert idx.offset(2, 4) == 1 + alg.dim(2)
     # Sq^2 of generator 1 is the (1, Sq2) basis vector of degree 4
-    assert idx.apply_sq(2, 2, 1 << idx.offset(1, 2)) == 1 << idx.position(1, (2,), 4)
+    assert idx.apply_sq(2, 2, 1 << idx.offset(1, 2)) == 1 << (idx.offset(1, 4) + alg.index((2,)))
     assert idx.action_columns(2, 2) == [
         idx.apply_sq(2, 2, 1 << j) for j in range(idx.dim(2))
     ]

@@ -8,8 +8,8 @@ from extlab.steenrod import (
     DegreeError,
     binom_mod2,
     is_admissible,
+    milnor_basis_dims,
 )
-from extlab.verify import milnor_basis_dims
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +66,31 @@ def test_adem_rejects_bad_words(alg):
         alg.adem_reduce([30, 30])
     with pytest.raises(ValueError):
         alg.adem_reduce([1, 1], strategy="inside-out")
+
+
+def test_sq_columns_match_adem_reduce():
+    # every Sq^k table through degree 24, each filled by the Adem recursion
+    alg = AlgebraTable(24)
+    for n in range(24):
+        for k in range(1, 25 - n):
+            cols = alg.sq_columns(k, n)
+            assert len(cols) == alg.dim(n)
+            for i, mono in enumerate(alg.basis(n)):
+                assert cols[i] == alg.adem_reduce([k, *mono]).coords, (k, mono)
+
+
+def test_multiply_mono_matches_adem_reduce(alg):
+    for da in range(17):
+        for db in range(17 - da):
+            for ia, a in enumerate(alg.basis(da)):
+                for ib, b in enumerate(alg.basis(db)):
+                    assert alg.multiply_mono(da, ia, db, ib) == alg.adem_reduce([*a, *b]).coords
+
+
+def test_heads_match_slicing(alg):
+    assert alg.heads(0) == ((0, 0),)
+    for n in range(1, 25):
+        assert alg.heads(n) == tuple((m[0], alg.index(m[1:])) for m in alg.basis(n))
 
 
 def test_multiply_examples(alg):
