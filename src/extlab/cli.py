@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import render
-from .gradedmod import a_mod_sq1, free_module, trivial_module
+from .gradedmod import free_module, sq1_quotient, trivial_module
 from .resolve import cached_resolution
 from .scenarios import ScenarioSpec, build_scenario, expected_e3, verify_scenario
 from .steenrod import AlgebraTable, milnor_basis_dims
@@ -53,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds(p_res)
     p_res.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
     p_res.add_argument("--output", default=None, help="write the chart here instead of stdout")
+    p_res.set_defaults(run=cmd_resolve, parser=p_res)
 
     p_sc = sub.add_parser("scenario", help="reconstruct and verify a collapsed page")
     p_sc.add_argument("--kind", required=True, choices=("fn", "fnz", "f", "f-conj"))
@@ -60,10 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds(p_sc)
     p_sc.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
     p_sc.add_argument("--output", default=None)
+    p_sc.set_defaults(run=cmd_scenario, parser=p_sc)
 
     p_ver = sub.add_parser("verify", help="run the property suites")
     p_ver.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p_ver.add_argument("--json-output", default=None, help="write the machine-readable report here")
+    p_ver.set_defaults(run=cmd_verify, parser=p_ver)
 
     return parser
 
@@ -102,7 +105,7 @@ def _parse_module(selector: str, parser: argparse.ArgumentParser, max_t: int):
     if selector == "a":
         return free_module(alg, [0], max_t), "A"
     if selector == "a-mod-sq1":
-        return a_mod_sq1(alg, max_t), "A/ASq1"
+        return sq1_quotient(alg, max_t).codomain, "A/ASq1"
     if selector.startswith("free:"):
         try:
             shifts = [int(x) for x in selector[5:].split(",") if x != ""]
@@ -207,14 +210,9 @@ def cmd_verify(args, parser) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "resolve":
-            return cmd_resolve(args, parser)
-        if args.command == "scenario":
-            return cmd_scenario(args, parser)
-        return cmd_verify(args, parser)
+        return args.run(args, args.parser)
     except BrokenPipeError:
         return 1
     except (AssertionError, RuntimeError, ValueError, OSError) as exc:

@@ -14,9 +14,11 @@ resolution grows, appends in non-decreasing degree.  Its ``map_columns`` is
 the one routine that builds the columns of a map out of a free module.
 
 Everything is only meaningful up to the construction bound ``max_t``:
-consumers must propagate that margin.  Construction of kernels, images and cokernels is degreewise
-GF(2) linear algebra followed by transport of the action, mirroring how the
-long exact cohomology sequence of a map gets cut into short exact sequences.
+consumers must propagate that margin.  Given one subspace per degree,
+:func:`inclusion_map` builds the submodule and :func:`quotient_map` the
+quotient, each by transport of the action.  :func:`factor_map` cuts a map
+into kernel, image and cokernel through these two builders, and
+:func:`sq1_quotient` builds A//A(0) as a coordinate quotient of A.
 """
 
 from __future__ import annotations
@@ -425,58 +427,64 @@ class FactoredMap:
         return ShortExactSequence(self.I, self.source.codomain, self.C, self.i_I, self.p_C)
 
 
+def inclusion_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
+    """Inclusion into ``mid`` of the submodule whose degree-t part is
+    ``subs[t]``, on the window 0..len(subs) - 1; raises ExactnessError when
+    some Sq^k leaves the subspaces."""
+    bound = len(subs) - 1
+    actions = {}
+    for k in range(1, bound + 1):
+        for t in range(0, bound - k + 1):
+            cols = []
+            for v in subs[t].basis.data:
+                coords = subs[t + k].coordinates(mid.apply_sq(k, t, v))
+                if coords is None:
+                    raise ExactnessError(f"Sq^{k} escapes the subspace at degree {t}")
+                cols.append(coords)
+            actions[(k, t)] = cols
+    sub = GradedModule(mid.algebra, bound, [s.rank for s in subs], actions)
+    return ModuleMap(sub, mid, tuple(list(s.basis.data) for s in subs))
+
+
+def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
+    """Projection of ``mid`` onto its quotient by the submodule whose
+    degree-t part is ``subs[t]``, on the window 0..len(subs) - 1.
+
+    The quotient's basis is the canonical complement of ``quotient_section``,
+    labeled as in ``mid``.  Callers check that the subspaces are a submodule.
+    """
+    bound = len(subs) - 1
+    projs, frees = zip(*(quotient_section(mid.dim(t), subs[t]) for t in range(bound + 1)))
+    actions = {}
+    for k in range(1, bound + 1):
+        for t in range(0, bound - k + 1):
+            act = mid.action(k, t)
+            actions[(k, t)] = [combine(projs[t + k], act[j]) for j in frees[t]]
+    quot = GradedModule(
+        mid.algebra, bound, [len(free) for free in frees], actions,
+        labels=[tuple(mid.labels[t][j] for j in frees[t]) for t in range(bound + 1)],
+    )
+    return ModuleMap(mid, quot, projs)
+
+
 def factor_map(f: ModuleMap) -> FactoredMap:
     """Degreewise kernel, image and cokernel of f, with induced actions."""
     dom, cod = f.domain, f.codomain
     bound = f.max_t
-    alg = dom.algebra
-    kers: list[Subspace] = []
-    imgs: list[Subspace] = []
-    projs: list[list[int]] = []
-    frees: list[list[int]] = []
+    kers, imgs = [], []
     for t in range(bound + 1):
         image, kernel = image_and_kernel(f.columns[t], cod.dim(t))
         kers.append(kernel)
         imgs.append(image.subspace())
-        proj, free = quotient_section(cod.dim(t), imgs[t])
-        projs.append(proj)
-        frees.append(free)
-
-    k_dims = [kers[t].rank for t in range(bound + 1)]
-    i_dims = [imgs[t].rank for t in range(bound + 1)]
-    c_dims = [len(frees[t]) for t in range(bound + 1)]
-
-    K = GradedModule(
-        alg, bound, k_dims, _induced_sub_actions_window(dom, kers, bound),
-        labels=[tuple(f"k{t}_{i}" for i in range(k_dims[t])) for t in range(bound + 1)],
-    )
-    I = GradedModule(
-        alg, bound, i_dims, _induced_sub_actions_window(cod, imgs, bound),
-        labels=[tuple(f"i{t}_{i}" for i in range(i_dims[t])) for t in range(bound + 1)],
-    )
-    c_actions = {}
-    for k in range(1, bound + 1):
-        for t in range(0, bound - k + 1):
-            act = cod.action(k, t)
-            c_actions[(k, t)] = [combine(projs[t + k], act[j]) for j in frees[t]]
-    C = GradedModule(
-        alg, bound, c_dims, c_actions,
-        labels=[tuple(cod.labels[t][j] for j in frees[t]) for t in range(bound + 1)],
-    )
-
-    i_K = ModuleMap(K, dom, tuple(list(kers[t].basis.data) for t in range(bound + 1)))
-    p_I_cols = []
-    for t in range(bound + 1):
-        cols = []
-        for col in f.columns[t]:
-            coords = imgs[t].coordinates(col)
-            assert coords is not None
-            cols.append(coords)
-        p_I_cols.append(cols)
-    p_I = ModuleMap(dom, I, tuple(p_I_cols))
-    i_I = ModuleMap(I, cod, tuple(list(imgs[t].basis.data) for t in range(bound + 1)))
-    p_C = ModuleMap(cod, C, tuple(projs))
-    fac = FactoredMap(f, K, I, C, i_K, p_I, i_I, p_C)
+    i_K = inclusion_map(dom, kers)
+    i_I = inclusion_map(cod, imgs)
+    p_C = quotient_map(cod, imgs)
+    p_I_cols = tuple([imgs[t].coordinates(c) for c in f.columns[t]] for t in range(bound + 1))
+    for t, cols in enumerate(p_I_cols):
+        if None in cols:
+            raise ExactnessError(f"a column of the map leaves its image at degree {t}")
+    p_I = ModuleMap(dom, i_I.domain, p_I_cols)
+    fac = FactoredMap(f, i_K.domain, i_I.domain, p_C.codomain, i_K, p_I, i_I, p_C)
     fac.kernel_sequence().check_exact()
     fac.cokernel_sequence().check_exact()
     for mp in (i_K, p_I, i_I, p_C):
@@ -490,37 +498,23 @@ def _generating_squares(bound: int) -> list[int]:
     return [1 << i for i in range(bound.bit_length())]
 
 
-def _induced_sub_actions_window(
-    ambient: GradedModule, subs: list[Subspace], bound: int
-) -> dict[tuple[int, int], list[int]]:
-    actions = {}
-    for k in range(1, bound + 1):
-        for t in range(0, bound - k + 1):
-            cols = []
-            for v in subs[t].basis.data:
-                coords = subs[t + k].coordinates(ambient.apply_sq(k, t, v))
-                if coords is None:
-                    raise ExactnessError(f"Sq^{k} escapes the subspace at degree {t}")
-                cols.append(coords)
-            actions[(k, t)] = cols
-    return actions
+def sq1_quotient(algebra: AlgebraTable, max_t: int) -> ModuleMap:
+    """The projection A -> A//A(0) = A/A·Sq^1.
 
-
-def sq1_cokernel_factorization(algebra: AlgebraTable, max_t: int) -> FactoredMap:
-    """Factorization of right multiplication by Sq^1 on the free module."""
-    dom = free_module(algebra, [1], max_t)
-    cod = free_module(algebra, [0], max_t)
-    sq1 = 1 << algebra.index((1,))
-    f = map_from_generators(dom, cod, [sq1])
-    return factor_map(f)
-
-
-def a_mod_sq1(algebra: AlgebraTable, max_t: int) -> GradedModule:
-    """The quotient by the left ideal generated by Sq^1.
-
-    Constructed as the cokernel of right multiplication by Sq^1; the
-    canonical complement basis comes out labeled by the admissible monomials
-    whose last exponent is at least 2.
+    A·Sq^1 is spanned by the admissible monomials that end in Sq^1: for an
+    admissible a, a·Sq^1 is 0 if a ends in Sq^1 and the admissible (*a, 1)
+    otherwise.  So the quotient keeps the other admissible monomials, and
+    its action is "multiply, then drop the terms that end in Sq^1".  The
+    linearity check guards that the span is a left ideal.
     """
-    return sq1_cokernel_factorization(algebra, max_t).C
-
+    free = free_module(algebra, [0], max_t)
+    subs = [
+        Subspace.from_rows(
+            (1 << i for i, mono in enumerate(algebra.basis(t)) if mono and mono[-1] == 1),
+            free.dim(t),
+        )
+        for t in range(max_t + 1)
+    ]
+    p = quotient_map(free, subs)
+    p.check_linearity(ks=_generating_squares(max_t))
+    return p

@@ -220,8 +220,8 @@ def connecting_map(lift: ChainLift) -> BoundaryMap:
     for s in range(0, rs.max_s):
         sub_idx = rs.indexers[s]
         for t in range(0, rs.max_t + 1):
-            src_gens = rs.gens_at(s, t)
-            tgt_gens = rq.gens_at(s + 1, t)
+            src_gens = sub_idx.gens_in_degree(t)
+            tgt_gens = rq.indexers[s + 1].gens_in_degree(t)
             if not src_gens or not tgt_gens:
                 continue
             unit_pos = [sub_idx.offset(g, t) for g in src_gens]

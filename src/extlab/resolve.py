@@ -132,9 +132,6 @@ class Resolution:
             return 0
         return sum(1 for d in self.indexers[s].gen_degrees if d == t)
 
-    def gens_at(self, s: int, t: int) -> list[int]:
-        return self.indexers[s].gens_in_degree(t)
-
     def ambient_dim(self, s: int, t: int) -> int:
         """Dimension of the target of d_s in degree t (module coords for s=0)."""
         return self.module.dim(t) if s == 0 else self.indexers[s - 1].dim(t)

@@ -30,7 +30,7 @@ from .gradedmod import (
     factor_map,
     free_module,
     map_from_generators,
-    sq1_cokernel_factorization,
+    sq1_quotient,
 )
 from .lescalc import (
     BoundaryMap,
@@ -291,11 +291,11 @@ def scenario_map(spec: ScenarioSpec, algebra: Optional[AlgebraTable] = None):
         cod = free_module(alg, [0], max_t)
         targets = [1 << alg.index((spec.n,))]
         return map_from_generators(dom, cod, targets)
-    quotient = sq1_cokernel_factorization(alg, max_t)
-    cod = quotient.C
+    p = sq1_quotient(alg, max_t)
+    cod = p.codomain
     if spec.kind == "fnz":
         dom = free_module(alg, [spec.n], max_t)
-        targets = [quotient.p_C.apply(spec.n, 1 << alg.index((spec.n,)))]
+        targets = [p.apply(spec.n, 1 << alg.index((spec.n,)))]
         return map_from_generators(dom, cod, targets)
     shifts = [2 * i for i in range(1, max_t // 2 + 1)]
     dom = free_module(alg, shifts, max_t)
@@ -303,7 +303,7 @@ def scenario_map(spec: ScenarioSpec, algebra: Optional[AlgebraTable] = None):
         gens = [alg.sq(2 * i) for i in range(1, max_t // 2 + 1)]
     else:
         gens = [alg.antipode_sq(2 * i) for i in range(1, max_t // 2 + 1)]
-    targets = [quotient.p_C.apply(elem.degree, elem.coords) for elem in gens]
+    targets = [p.apply(elem.degree, elem.coords) for elem in gens]
     return map_from_generators(dom, cod, targets)
 
 

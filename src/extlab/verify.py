@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .gradedmod import a_mod_sq1, trivial_module, free_module
+from .gradedmod import free_module, sq1_quotient, trivial_module
 from .lescalc import compose_boundaries, connecting_map, horseshoe_lift, les_exactness_report
 from .oracle import oracle_ext_dims
 from .resolve import (
@@ -145,7 +145,7 @@ def suite_resolution(report: SuiteReport) -> None:
     alg = AlgebraTable(24)
     f2 = trivial_module(alg, 20)
     res_f2 = minimal_resolution(f2, 8, 20)
-    quotient = a_mod_sq1(alg, 24)
+    quotient = sq1_quotient(alg, 24).codomain
     res_q = minimal_resolution(quotient, 10, 24)
 
     def oracle_f2():

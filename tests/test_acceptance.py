@@ -9,7 +9,7 @@ import time
 import pytest
 
 from extlab.cli import main
-from extlab.gradedmod import a_mod_sq1, trivial_module
+from extlab.gradedmod import sq1_quotient, trivial_module
 from extlab.oracle import oracle_ext_dims
 from extlab.resolve import minimal_resolution
 from extlab.scenarios import (
@@ -53,7 +53,7 @@ def test_criterion_1_ext_f2_window():
 def test_criterion_2_tower():
     start = time.time()
     alg = AlgebraTable(24)
-    chart = minimal_resolution(a_mod_sq1(alg, 24), 10, 24).chart()
+    chart = minimal_resolution(sq1_quotient(alg, 24).codomain, 10, 24).chart()
     for s in range(11):
         for t in range(25):
             assert chart.dim(s, t) == (1 if s == t else 0), (s, t)

@@ -128,6 +128,18 @@ def test_scenario_missing_n_exits_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["resolve", "--module", "f2", "--max-s", "1000000000", "--max-t", "46"], "resolve"),
+    (["resolve", "--module", "bogus", "--max-s", "2", "--max-t", "4"], "resolve"),
+    (["scenario", "--kind", "fn"], "scenario"),
+])
+def test_usage_errors_print_the_command_usage(argv, command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: extlab {command}")
+
+
 def test_scenario_hypothesis_failure_exits_1(capsys, tmp_path):
     # integral n=1 is degenerate; the tool must refuse and exit 1
     code, _, err = run(

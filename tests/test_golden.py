@@ -8,7 +8,7 @@ taken from the resolver before it switched to one elimination per bidegree.
 import hashlib
 import os
 
-from extlab.cli import main
+from extlab.cli import _build_parser, _parse_module, main
 from extlab.gradedmod import factor_map, trivial_module
 from extlab.lescalc import horseshoe_lift
 from extlab.resolve import minimal_resolution, serialize_resolution
@@ -21,6 +21,15 @@ SCENARIO_F_10_26_CACHE = {
     F2_10_26,
     "218f1caf93ae8e14e299b6b18cdb61813863ba114a33092ff00de0629cf17fa4",
     "42eec5120345477a2c121e94384c00cd29e4436ffb8295110e428cba5eb2de9a",
+}
+# A//A(0) and scenario fnz, pinned before A//A(0) became a coordinate
+# quotient of A instead of the cokernel of right multiplication by Sq^1
+A_MOD_SQ1_10_24 = "5b63a5e347436e4bd7b579d9951055e168e47e95d34efb3e6cc769cda7f08587"
+SCENARIO_FNZ_4_8_16_STDOUT = "88ca91f86909f615a974c2b00f3068a16b98c3a746e07dda9b8ee5d0bee715fc"
+SCENARIO_FNZ_4_8_16_CACHE = {
+    "263274605e68c9fbeaebb050d7845f0e82e5291dd2a8f42c030dccbcc6243361",
+    "ca5fb69b5075f7b3e020d1bc094d0c920ea5f385feb8e1b669840f417dcc58df",
+    "fe4b0023cf577d46f2292056682387789468a39e96499a5d70591faa51b322c2",
 }
 # sha256 of repr((sigma, tau)) of the two horseshoe lifts of scenario f
 # (10, 26), taken from the code that solved them with a Gauss-Jordan of [m | I]
@@ -46,6 +55,23 @@ def test_scenario_f_stdout_and_cache_bytes(capsys, tmp_path):
     files = sorted(os.listdir(tmp_path))
     assert len(files) == 3
     assert {_sha256((tmp_path / name).read_bytes()) for name in files} == SCENARIO_F_10_26_CACHE
+
+
+def test_a_mod_sq1_resolution_bytes():
+    module, _ = _parse_module("a-mod-sq1", _build_parser(), 24)
+    res = minimal_resolution(module, 10, 24)
+    assert _sha256(serialize_resolution(res).encode()) == A_MOD_SQ1_10_24
+
+
+def test_scenario_fnz_stdout_and_cache_bytes(capsys, tmp_path):
+    code = main(["scenario", "--kind", "fnz", "--n", "4", "--max-s", "8", "--max-t", "16",
+                 "--format", "json", "--cache-dir", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert _sha256(out.encode()) == SCENARIO_FNZ_4_8_16_STDOUT
+    files = sorted(os.listdir(tmp_path))
+    assert len(files) == 3
+    assert {_sha256((tmp_path / name).read_bytes()) for name in files} == SCENARIO_FNZ_4_8_16_CACHE
 
 
 def test_scenario_f_lift_bytes():

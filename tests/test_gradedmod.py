@@ -5,11 +5,10 @@ from extlab.gradedmod import (
     FreeIndexer,
     GradedModule,
     ModuleMap,
-    a_mod_sq1,
     factor_map,
     free_module,
     map_from_generators,
-    sq1_cokernel_factorization,
+    sq1_quotient,
     trivial_module,
 )
 from extlab.steenrod import AlgebraTable
@@ -53,7 +52,7 @@ def test_map_from_generators_examples(alg, amod):
 
 
 def test_map_from_generators_needs_free_domain(alg, amod):
-    quotient = a_mod_sq1(alg, MAX_T)
+    quotient = sq1_quotient(alg, MAX_T).codomain
     with pytest.raises(ValueError):
         map_from_generators(quotient, amod, [1])
 
@@ -61,10 +60,10 @@ def test_map_from_generators_needs_free_domain(alg, amod):
 def test_map_into_quotient(alg):
     # Sigma^2 A -> A/ASq1 sending the generator to [Sq2]: in degree 3 the
     # basis element Sq1*gen goes to [Sq1 Sq2] = [Sq3]
-    fac = sq1_cokernel_factorization(alg, MAX_T)
-    quotient = fac.C
+    p = sq1_quotient(alg, MAX_T)
+    quotient = p.codomain
     dom = free_module(alg, [2], MAX_T)
-    cls_sq2 = fac.p_C.apply(2, 1 << alg.index((2,)))
+    cls_sq2 = p.apply(2, 1 << alg.index((2,)))
     g = map_from_generators(dom, quotient, [cls_sq2])
     g.check_linearity()
     image = g.apply(3, 1)
@@ -80,8 +79,15 @@ def test_factor_identity(alg, amod):
     assert fac.I.dims == amod.dims
 
 
+def _right_mul_sq1(alg, max_t):
+    """Right multiplication by Sq^1, Sigma A -> A."""
+    return map_from_generators(
+        free_module(alg, [1], max_t), free_module(alg, [0], max_t), [1 << alg.index((1,))]
+    )
+
+
 def test_factor_right_mul_sq1(alg):
-    fac = sq1_cokernel_factorization(alg, MAX_T)
+    fac = factor_map(_right_mul_sq1(alg, MAX_T))
     assert fac.C.dims[:4] == (1, 0, 1, 1)
     for t in range(MAX_T + 1):
         assert fac.K.dims[t] + fac.I.dims[t] == fac.source.domain.dims[t]
@@ -93,7 +99,7 @@ def test_factor_right_mul_sq1(alg):
 
 
 def test_a_mod_sq1_structure(alg):
-    quotient = a_mod_sq1(alg, MAX_T)
+    quotient = sq1_quotient(alg, MAX_T).codomain
     assert quotient.dims[:5] == (1, 0, 1, 1, 1)
     # freeness over the Sq1-exterior subalgebra, as a computed identity
     for t in range(1, MAX_T + 1):
@@ -104,26 +110,37 @@ def test_a_mod_sq1_structure(alg):
             assert label == "1" or not label.endswith("Sq1"), (t, label)
     quotient.check_actions()
     # [Sq1] = 0 in degree 1
-    fac = sq1_cokernel_factorization(alg, MAX_T)
-    assert fac.p_C.apply(1, 1 << alg.index((1,))) == 0
+    assert sq1_quotient(alg, MAX_T).apply(1, 1 << alg.index((1,))) == 0
 
 
 def test_big_map_cokernel_is_f2(alg):
     # the sum of right-multiplications by all even squares into A/ASq1
     max_t = 12
-    fac_q = sq1_cokernel_factorization(alg, max_t)
+    p = sq1_quotient(alg, max_t)
     shifts = [2 * i for i in range(1, max_t // 2 + 1)]
     dom = free_module(alg, shifts, max_t)
-    targets = [fac_q.p_C.apply(2 * i, 1 << alg.index((2 * i,))) for i in range(1, max_t // 2 + 1)]
-    fac = factor_map(map_from_generators(dom, fac_q.C, targets))
+    targets = [p.apply(2 * i, 1 << alg.index((2 * i,))) for i in range(1, max_t // 2 + 1)]
+    fac = factor_map(map_from_generators(dom, p.codomain, targets))
     assert fac.C.dims == (1,) + (0,) * max_t
     # image is the kernel of the nonzero map to F2: everything in degrees >= 1
     for t in range(max_t + 1):
-        assert fac.I.dims[t] == (fac_q.C.dims[t] if t >= 1 else 0)
+        assert fac.I.dims[t] == (p.codomain.dims[t] if t >= 1 else 0)
+
+
+@pytest.mark.parametrize("max_t", [14, 26, 40])
+def test_sq1_quotient_matches_the_factored_cokernel(max_t):
+    """The coordinate quotient equals the cokernel of right multiplication
+    by Sq^1, as factor_map builds it: same digest, labels and projection."""
+    alg = AlgebraTable(max_t)
+    p = sq1_quotient(alg, max_t)
+    fac = factor_map(_right_mul_sq1(alg, max_t))
+    assert p.codomain.digest() == fac.C.digest()
+    assert p.codomain.labels == fac.C.labels
+    assert p.columns == fac.p_C.columns
 
 
 def test_kernel_closure_under_action(alg):
-    fac = sq1_cokernel_factorization(alg, MAX_T)
+    fac = factor_map(_right_mul_sq1(alg, MAX_T))
     dom = fac.source.domain
     for t in range(MAX_T):
         for v in [fac.i_K.columns[t][j] for j in range(fac.K.dims[t])]:

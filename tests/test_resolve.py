@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from extlab.gradedmod import a_mod_sq1, free_module, trivial_module
+from extlab.gradedmod import free_module, sq1_quotient, trivial_module
 from extlab.oracle import admissible_words, oracle_ext_dims, reduce_word
 from extlab.resolve import (
     CorruptFileError,
@@ -79,7 +79,7 @@ def test_two_line_products(res_f2):
 
 
 def test_tower(alg):
-    res = minimal_resolution(a_mod_sq1(alg, 14), 6, 14)
+    res = minimal_resolution(sq1_quotient(alg, 14).codomain, 6, 14)
     chart = res.chart()
     for s in range(7):
         for t in range(15):
@@ -98,7 +98,7 @@ def test_oracle_equivalence(alg):
     for (s, t), d in dims.items():
         assert chart.dim(s, t) == d, (s, t)
     dims = oracle_ext_dims("a-mod-sq1", 5, 12)
-    chart = minimal_resolution(a_mod_sq1(alg, 12), 5, 12).chart()
+    chart = minimal_resolution(sq1_quotient(alg, 12).codomain, 5, 12).chart()
     for (s, t), d in dims.items():
         assert chart.dim(s, t) == d, (s, t)
 
@@ -131,7 +131,7 @@ def test_load_hash_mismatch(tmp_path, alg, res_f2):
     path = str(tmp_path / "f2.extres")
     save_resolution(res_f2, path)
     with pytest.raises(HashMismatchError):
-        load_resolution(path, a_mod_sq1(alg, 14))
+        load_resolution(path, sq1_quotient(alg, 14).codomain)
 
 
 def test_load_truncated(tmp_path, alg, res_f2):
