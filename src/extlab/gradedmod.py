@@ -257,10 +257,15 @@ class FreeIndexer:
         """(generator, generator degree, offset) for each block in degree t."""
         return self._degree(t)[0]
 
-    def map_columns(self, t: int, image, apply_sq, memo: dict[int, list[int]]) -> list[int]:
-        """Degree-t columns of the module map sending generator g to image(g).
+    def map_columns(
+        self, t: int, images: Sequence[int], apply_sq, memo: dict[int, list[int]]
+    ) -> list[int]:
+        """Degree-t columns of the module map sending generator g to images[g].
 
-        The column of (g, Sq^a * tail) is Sq^a applied, by ``apply_sq(k, t,
+        ``images[g]`` is a vector in target coordinates, in the degree of
+        generator g.  Only generators of degree at most t are read, so a
+        resolution may append to the list as its sweep goes up in t.  The
+        column of (g, Sq^a * tail) is Sq^a applied, by ``apply_sq(k, t,
         vec)`` in target coordinates, to the column of (g, tail): in degree
         t - a, at ``offsets[g]`` plus the tail index from ``AlgebraTable.heads``.
         ``memo`` holds the columns of each degree built so far.
@@ -270,13 +275,13 @@ class FreeIndexer:
             cols = []
             for g, d, _ in self.blocks(t):
                 if d == t:
-                    cols.append(image(g))
+                    cols.append(images[g])
                     continue
                 k = 0
                 for a, tail in self.algebra.heads(t - d):
                     if a != k:  # monomials come grouped by first exponent
                         k = a
-                        below = self.map_columns(t - k, image, apply_sq, memo)
+                        below = self.map_columns(t - k, images, apply_sq, memo)
                         base = self._degree(t - k)[1][g]
                     cols.append(apply_sq(k, t - k, below[base + tail]))
             memo[t] = cols
@@ -322,15 +327,6 @@ class FreeIndexer:
                 out[g] = AlgebraElement(t - d, block)
         return out
 
-    def vector_of(self, parts: dict[int, AlgebraElement], t: int) -> int:
-        vec = 0
-        for g, elem in parts.items():
-            d = self.gen_degrees[g]
-            if elem.degree != t - d:
-                raise ValueError("component degree mismatch")
-            vec |= elem.coords << self.offset(g, t)
-        return vec
-
 
 def free_module(algebra: AlgebraTable, shifts: Sequence[int], max_t: int) -> GradedModule:
     """Free module on one generator per shift, in any order; basis
@@ -373,7 +369,7 @@ def map_from_generators(
             raise ValueError(f"target {g} does not live in codomain degree {d}")
     memo: dict[int, list[int]] = {}
     mp = ModuleMap(dom, codomain, tuple(
-        basis.map_columns(t, targets.__getitem__, codomain.apply_sq, memo)
+        basis.map_columns(t, targets, codomain.apply_sq, memo)
         for t in range(bound + 1)
     ))
     mp.check_linearity(ks=_generating_squares(bound))

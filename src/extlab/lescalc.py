@@ -64,13 +64,13 @@ class ChainLift:
     def sigma_columns(self, t: int) -> list[int]:
         """Columns of sigma from (P_0 quot)_t to mid_t."""
         return self.res_quot.indexers[0].map_columns(
-            t, self.sigma.__getitem__, self.ses.mid.apply_sq, self._sigma_cols
+            t, self.sigma, self.ses.mid.apply_sq, self._sigma_cols
         )
 
     def tau_columns(self, s: int, t: int) -> list[int]:
         """Columns of tau_s from (P_s quot)_t to (P_{s-1} sub)_t."""
         return self.res_quot.indexers[s].map_columns(
-            t, self.tau[s].__getitem__, self.res_sub.indexers[s - 1].apply_sq,
+            t, self.tau[s], self.res_sub.indexers[s - 1].apply_sq,
             self._tau_cols.setdefault(s, {}),
         )
 
@@ -144,13 +144,13 @@ def horseshoe_lift(
     # sigma on generators of P_0(quot)
     for g, tg in enumerate(res_quot.indexers[0].gen_degrees):
         lift.sigma.append(
-            preimage(("projection", tg), res_quot.aug_vectors[g], f"projection lift at t={tg}")
+            preimage(("projection", tg), res_quot.targets[0][g], f"projection lift at t={tg}")
         )
 
     for s in range(1, max_s + 1):
         lift.tau.append([])
         for h, th in enumerate(res_quot.indexers[s].gen_degrees):
-            dvec = res_quot.gen_target(s, h)
+            dvec = res_quot.targets[s][h]
             if s == 1:
                 w = combine(lift.sigma_columns(th), dvec)
                 v = preimage(("inclusion", th), w, f"inclusion preimage at t={th}")

@@ -18,9 +18,12 @@ Charts report every (s, t) with s <= max_s, t <= max_t: a generator at
 boundary maps across the t = max_t column must subtract a one-column margin
 (see lescalc / scenarios).
 
-Resolutions serialize to a plain-text cache file (magic ``EXTLAB1``) keyed
-by module content hash, bounds, and format version; orderings are canonical
-so round-trips are byte-exact.
+A resolution holds d of each generator as one vector, the remainder the
+sweep found.  Resolutions serialize to a plain-text cache file (magic
+``EXTLAB1``) keyed by module content hash, bounds, and format version; the
+split of each vector into one ``d`` line per target generator lives only in
+:func:`serialize_resolution` and :func:`load_resolution`.  Orderings are
+canonical, so round-trips are byte-exact.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Optional
 
 from .f2core import BitMatrix, EchelonAccumulator, combine, image_and_kernel
 from .gradedmod import FreeIndexer, GradedModule
-from .steenrod import AlgebraElement
 
 FORMAT_VERSION = 1
 MAGIC = "EXTLAB1"
@@ -95,10 +97,9 @@ class ExtChart:
 class Resolution:
     """A minimal free resolution of a module up to (max_s, max_t).
 
-    ``gen_degrees[s]`` lists generator degrees of P_s in insertion order.
-    For s >= 1, ``diffs[s][i]`` maps target generator index to its algebra
-    coefficient in d(g_{s,i}); ``aug_vectors[i]`` is the augmentation image
-    of g_{0,i} in module coordinates.
+    ``indexers[s].gen_degrees`` lists generator degrees of P_s in insertion
+    order.  ``targets[s][g]`` is d(g_{s,g}) for g of degree t: a vector over
+    the degree-t basis of P_{s-1}, or of the module when s = 0.
 
     Completed resolutions are never mutated; the per-degree column cache
     fills lazily with deterministic values, so concurrent readers can at
@@ -118,14 +119,10 @@ class Resolution:
         self.max_t = max_t
         self.algebra = module.algebra
         self.indexers = [FreeIndexer(module.algebra) for _ in range(max_s + 1)]
-        self.diffs: list[list[dict[int, AlgebraElement]]] = [[] for _ in range(max_s + 1)]
-        self.aug_vectors: list[int] = []
+        self.targets: list[list[int]] = [[] for _ in range(max_s + 1)]
         self._cols: list[dict[int, list[int]]] = [{} for _ in range(max_s + 1)]
 
     # -- structure queries ---------------------------------------------------
-
-    def gen_degrees(self, s: int) -> list[int]:
-        return self.indexers[s].gen_degrees
 
     def gen_count(self, s: int, t: int) -> int:
         if not 0 <= s <= self.max_s:
@@ -139,17 +136,10 @@ class Resolution:
     def diff_columns(self, s: int, t: int) -> list[int]:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
         apply_sq = self.module.apply_sq if s == 0 else self.indexers[s - 1].apply_sq
-        return self.indexers[s].map_columns(t, lambda g: self.gen_target(s, g), apply_sq, self._cols[s])
+        return self.indexers[s].map_columns(t, self.targets[s], apply_sq, self._cols[s])
 
     def diff_matrix(self, s: int, t: int) -> BitMatrix:
         return BitMatrix.from_columns(self.diff_columns(s, t), self.ambient_dim(s, t))
-
-    def gen_target(self, s: int, g: int) -> int:
-        """d(g) as a vector over the previous level (module coords for s=0)."""
-        t = self.indexers[s].gen_degrees[g]
-        if s == 0:
-            return self.aug_vectors[g]
-        return self.indexers[s - 1].vector_of(self.diffs[s][g], t)
 
     # -- verification ----------------------------------------------------------
 
@@ -157,15 +147,17 @@ class Resolution:
         """d o d = 0 on every generator (cheap; also run outside tests)."""
         for s in range(1, self.max_s + 1):
             for g, t in enumerate(self.indexers[s].gen_degrees):
-                if combine(self.diff_columns(s - 1, t), self.gen_target(s, g)):
+                if combine(self.diff_columns(s - 1, t), self.targets[s][g]):
                     raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
 
     def verify_minimal(self) -> None:
         """No differential hits a generator with a unit coefficient."""
         for s in range(1, self.max_s + 1):
-            for g, parts in enumerate(self.diffs[s]):
-                for j, elem in parts.items():
-                    if elem.degree == 0 and not elem.is_zero():
+            below = self.indexers[s - 1]
+            for g, t in enumerate(self.indexers[s].gen_degrees):
+                vec = self.targets[s][g]
+                for j in below.gens_in_degree(t):
+                    if vec >> below.offset(j, t) & 1:
                         raise AssertionError(
                             f"unit coefficient on generator {j} in d(g_{s},{g})"
                         )
@@ -227,12 +219,8 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                 r = image.add(v)
                 if r == 0:
                     continue
-                g = res.indexers[s].add_generator(t)
-                if s == 0:
-                    res.aug_vectors.append(r)
-                    res.diffs[0].append({})
-                else:
-                    res.diffs[s].append(res.indexers[s - 1].element_of(r, t))
+                res.indexers[s].add_generator(t)
+                res.targets[s].append(r)
                 new_cols.append(r)
             res._cols[s][t] = new_cols
             candidates = kernel.basis.data
@@ -265,10 +253,9 @@ def serialize_resolution(res: Resolution) -> str:
         for g, t in enumerate(res.indexers[s].gen_degrees):
             out.append(f"gen {s} {g} {t}")
             if s == 0:
-                out.append(f"aug {res.aug_vectors[g]:x}")
+                out.append(f"aug {res.targets[0][g]:x}")
             else:
-                for j in sorted(res.diffs[s][g]):
-                    elem = res.diffs[s][g][j]
+                for j, elem in res.indexers[s - 1].element_of(res.targets[s][g], t).items():
                     out.append(f"d {j} {elem.degree} {elem.coords:x}")
     out.append("end")
     return "\n".join(out) + "\n"
@@ -293,7 +280,8 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
     """Load and validate a cached resolution of ``module``.
 
     Checks magic bytes, format version, the module content hash, that every
-    generator, augmentation and differential line lies in range, minimality,
+    generator, augmentation and differential line lies in range (the ``d``
+    lines of a generator name strictly increasing targets), minimality,
     the d o d = 0 invariant, and exactness with no redundant generator by
     ranks (:meth:`Resolution.verify_exactness`), before returning; any
     failure is a :class:`CacheError`.  A file that passes is a minimal
@@ -347,26 +335,27 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
                     raise CorruptFileError(f"generator {g} at (s={s}, t={t}) outside the window")
                 if res.indexers[s].add_generator(t) != g:
                     raise CorruptFileError("generator indices out of order")
-                res.diffs[s].append({})
-                if s == 0:
-                    res.aug_vectors.append(0)
+                res.targets[s].append(0)
                 cur = (s, g, t)
+                last_j = -1  # d lines name strictly increasing generators
             elif parts[0] == "aug":
                 s, g, t = cur
                 vec = int(parts[1], 16)
                 if s != 0 or vec >> module.dim(t):
                     raise CorruptFileError(f"aug line of g_{s},{g} out of range")
-                res.aug_vectors[g] = vec
+                res.targets[0][g] = vec
             elif parts[0] == "d":
                 s, g, t = cur
                 j, deg, coords = int(parts[1]), int(parts[2]), int(parts[3], 16)
                 below = res.indexers[s - 1].gen_degrees if s else []
                 if not (
-                    0 <= j < len(below) and deg == t - below[j] >= 0
+                    last_j < j < len(below) and deg == t - below[j] >= 0
                     and not coords >> res.algebra.dim(deg)
                 ):
                     raise CorruptFileError(f"d line of g_{s},{g} out of range: {line!r}")
-                res.diffs[s][g][j] = AlgebraElement(deg, coords)
+                # appending a generator never moves an earlier one's offset
+                res.targets[s][g] |= coords << res.indexers[s - 1].offset(j, t)
+                last_j = j
             else:
                 raise CorruptFileError(f"unexpected line {line!r}")
         for (s, t), n in gens_counts.items():
@@ -397,17 +386,27 @@ def cached_resolution(
 ) -> Resolution:
     """Resolve through the cache: load on hit, compute and store on miss.
 
-    A cache file that fails to load is logged as a warning, then recomputed
-    and overwritten.
+    A hit and a miss are logged at INFO, naming the file.  A cache file that
+    fails to load, or holds another window than the one requested, is logged
+    as a warning, then recomputed and overwritten.
     """
     if cache_dir is None:
         return minimal_resolution(module, max_s, max_t)
     path = cache_path(cache_dir, module, max_s, max_t)
     if os.path.exists(path):
         try:
-            return load_resolution(path, module)
+            res = load_resolution(path, module)
+            if (res.max_s, res.max_t) != (max_s, max_t):
+                raise CacheError(
+                    f"it holds the window (s={res.max_s}, t={res.max_t}), "
+                    f"not the requested (s={max_s}, t={max_t})"
+                )
+            logger.info("cache hit %s", path)
+            return res
         except CacheError as exc:
             logger.warning("cache file %s is unusable (%s); recomputing it", path, exc)
+    else:
+        logger.info("cache miss %s; resolving", path)
     res = minimal_resolution(module, max_s, max_t)
     save_resolution(res, path)
     return res

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -306,8 +307,10 @@ def _replace_line(after, old, new):
         (_replace_line("gen 3 1 6", "d 0 4 1", "d 3 4 1"), "d line of g_3,1 out of range"),
         (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 2 1"), "d line of g_2,0 out of range"),
         (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 1 3"), "d line of g_2,0 out of range"),
+        # the same target generator twice
+        (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 1 1\nd 0 1 1"), "d line of g_2,0 out of range"),
     ],
-    ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit"],
+    ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit", "d-repeated"],
 )
 def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     tamper, reason, capsys, caplog, tmp_path
@@ -329,3 +332,42 @@ def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert name in warnings[0] and reason in warnings[0]
+
+
+def test_cache_file_of_another_window_is_logged_and_recomputed(capsys, caplog, tmp_path):
+    argv = ["resolve", "--module", "f2", "--max-t", "10"]
+    cache = tmp_path / "c"
+    code, _, _ = run(argv + ["--max-s", "4", "--cache-dir", str(cache)], capsys)
+    assert code == 0
+    (small,) = os.listdir(cache)
+    assert small.endswith("_s4_t10_v1.extres")
+    name = small.replace("_s4_", "_s6_")
+    os.rename(cache / small, cache / name)
+    code, out, _ = run(argv + ["--max-s", "6", "--cache-dir", str(cache)], capsys)
+    assert code == 0
+    code, fresh_out, _ = run(argv + ["--max-s", "6", "--no-cache"], capsys)
+    assert out == fresh_out
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert name in warnings[0] and "window (s=4, t=10)" in warnings[0]
+    code, _, _ = run(argv + ["--max-s", "6", "--cache-dir", str(tmp_path / "fresh")], capsys)
+    assert (cache / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_cache_hits_and_misses_are_logged_at_info(capsys, caplog, tmp_path):
+    caplog.set_level(logging.INFO, logger="extlab.resolve")
+    argv = ["scenario", "--kind", "f", "--max-s", "4", "--max-t", "10",
+            "--cache-dir", str(tmp_path)]
+
+    def events():
+        out = [r.getMessage() for r in caplog.records
+               if r.name == "extlab.resolve" and r.levelname == "INFO"]
+        caplog.clear()
+        return out
+
+    assert run(argv, capsys)[0] == 0
+    files = sorted(str(tmp_path / name) for name in os.listdir(tmp_path))
+    assert len(files) == 3  # K, I and C
+    assert sorted(events()) == [f"cache miss {path}; resolving" for path in files]
+    assert run(argv, capsys)[0] == 0
+    assert sorted(events()) == [f"cache hit {path}" for path in files]

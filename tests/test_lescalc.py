@@ -289,7 +289,7 @@ def test_verify_agrees_with_horseshoe_block_check(alg):
         _block_check(lift)
         for s in range(1, 4):
             flipped = 0
-            for h, th in enumerate(res_quot.gen_degrees(s)):
+            for h, th in enumerate(res_quot.indexers[s].gen_degrees):
                 # the map that tau_s(h) is pushed through by its recurrence
                 if s == 1:
                     below = compose(ses.inclusion.columns[th], res_sub.diff_columns(0, th))

@@ -17,7 +17,7 @@ from extlab.resolve import (
     save_resolution,
     serialize_resolution,
 )
-from extlab.steenrod import AlgebraTable
+from extlab.steenrod import AlgebraElement, AlgebraTable
 
 # Frozen from the dense oracle (tests/test_resolve.py computes them again in
 # test_oracle_equivalence); every nonzero entry below has dimension 1.
@@ -127,6 +127,27 @@ def test_save_load_round_trip(tmp_path, alg, res_f2):
         assert a.read() == b.read()
 
 
+@pytest.mark.parametrize(
+    "build, max_s",
+    [
+        (lambda alg: trivial_module(alg, 14), 6),
+        (lambda alg: sq1_quotient(alg, 14).codomain, 6),
+        (lambda alg: free_module(alg, [4, 2, 0], 14), 5),
+    ],
+    ids=["f2", "a-mod-sq1", "free-4-2-0"],
+)
+def test_load_gives_the_built_differential(tmp_path, alg, build, max_s):
+    module = build(alg)
+    built = minimal_resolution(module, max_s, 14)
+    path = str(tmp_path / "res.extres")
+    save_resolution(built, path)
+    loaded = load_resolution(path, module)
+    assert loaded.targets == built.targets
+    assert [ix.gen_degrees for ix in loaded.indexers] == [
+        ix.gen_degrees for ix in built.indexers
+    ]
+
+
 def test_load_hash_mismatch(tmp_path, alg, res_f2):
     path = str(tmp_path / "f2.extres")
     save_resolution(res_f2, path)
@@ -201,10 +222,8 @@ def test_free_indexer(alg):
     assert idx.blocks(2) == [(0, 0, 0), (1, 2, alg.dim(2))]
     with pytest.raises(ValueError):
         idx.add_generator(1)  # must be non-decreasing
-    # element/vector round trip over the 2-dimensional degree-2 piece
-    vec = 0b11
-    parts = idx.element_of(vec, 2)
-    assert idx.vector_of(parts, 2) == vec
+    # the 2-dimensional degree-2 piece splits into Sq2 * g0 and g1
+    assert idx.element_of(0b11, 2) == {0: AlgebraElement(2, 1), 1: AlgebraElement(0, 1)}
 
 
 def test_bounds_validation(alg):
