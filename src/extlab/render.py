@@ -78,6 +78,8 @@ def ascii_chart(chart, title: str = "") -> str:
 
 
 def svg_chart(chart, title: str = "") -> str:
+    from xml.sax.saxutils import escape  # imports urllib and ssl: only SVG output pays
+
     lat = _lattice(chart, title)
     cell = 24
     margin = 40
@@ -100,7 +102,7 @@ def svg_chart(chart, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{margin}" y="{margin - 16}" font-family="monospace" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{escape(title)}</text>'
         )
     # light grid
     for stem in range(lat.max_stem + 2):
@@ -135,7 +137,7 @@ def svg_chart(chart, title: str = "") -> str:
             if labels:
                 hover += " " + " ".join(labels)
             parts.append("<g>")
-            parts.append(f"<title>{hover}</title>")
+            parts.append(f"<title>{escape(hover)}</title>")
             parts.append(f'<circle cx="{x_of(stem)}" cy="{y_of(filt)}" r="4" fill="black"/>')
             if d > 1:
                 parts.append(

@@ -23,7 +23,9 @@ sweep found.  Resolutions serialize to a plain-text cache file (magic
 ``EXTLAB1``) keyed by module content hash, bounds, and format version; the
 split of each vector into one ``d`` line per target generator lives only in
 :func:`serialize_resolution` and :func:`load_resolution`.  Orderings are
-canonical, so round-trips are byte-exact.
+canonical, so round-trips are byte-exact; a load serves only a canonical
+file, and certifies it in one pass (:meth:`Resolution.verify`).  A fresh
+build checks d o d on each new generator as the sweep finds it.
 """
 
 from __future__ import annotations
@@ -143,39 +145,25 @@ class Resolution:
 
     # -- verification ----------------------------------------------------------
 
-    def verify_d_squared(self) -> None:
-        """d o d = 0 on every generator (cheap; also run outside tests)."""
-        for s in range(1, self.max_s + 1):
-            for g, t in enumerate(self.indexers[s].gen_degrees):
-                if combine(self.diff_columns(s - 1, t), self.targets[s][g]):
-                    raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
+    def verify(self) -> None:
+        """Certify a minimal resolution of the module in its window, in one pass.
 
-    def verify_minimal(self) -> None:
-        """No differential hits a generator with a unit coefficient."""
-        for s in range(1, self.max_s + 1):
-            below = self.indexers[s - 1]
-            for g, t in enumerate(self.indexers[s].gen_degrees):
-                vec = self.targets[s][g]
-                for j in below.gens_in_degree(t):
-                    if vec >> below.offset(j, t) & 1:
-                        raise AssertionError(
-                            f"unit coefficient on generator {j} in d(g_{s},{g})"
-                        )
-
-    def verify_exactness(self) -> None:
-        """Exactness, and no redundant generator, by ranks in one pass.
-
-        One accumulator per (s, t) takes the columns of d_s over the older
-        generators, then each new generator's column, which must raise the
-        rank.  The ranks must then satisfy rank(d_0)_t = dim M_t and
-        rank(d_s)_t + rank(d_{s+1})_t = dim(P_s)_t for s < max_s.  With
-        d o d = 0 the image of d_{s+1} lies in the kernel of d_s, and the
-        rank sum makes the two equal.  A resolution that also passes
-        :meth:`verify_minimal` is then a minimal resolution of the module in
-        its window, unique up to isomorphism, so its generator counts are Ext.
+        The pass walks (t, s) in the sweep's order and reads the columns of
+        d_s at t once.  An accumulator takes the older generators' columns;
+        then each new generator's column must have no unit coefficient on a
+        degree-t generator of P_{s-1} (minimality), vanish under the columns
+        of d_{s-1} read by the step before (d o d = 0, an A-linear map out of
+        a free module, so zero once zero on generators), and raise the rank
+        (none is redundant).  Then rank(d_0)_t = dim M_t and rank(d_s)_t +
+        rank(d_{s+1})_t = dim(P_s)_t for s < max_s: with d o d = 0 the image
+        of d_{s+1} lies in the kernel of d_s, and the rank sum makes the two
+        equal.  A resolution that passes is a minimal resolution of the
+        module in its window, unique up to isomorphism, so its generator
+        counts are Ext.
         """
         for t in range(self.max_t + 1):
             need = self.module.dim(t)  # the rank d_s must reach
+            prev: list[int] = []  # columns of d_{s-1} at t
             for s in range(self.max_s + 1):
                 degrees = self.indexers[s].gen_degrees  # non-decreasing
                 first, last = bisect_left(degrees, t), bisect_right(degrees, t)
@@ -184,7 +172,16 @@ class Resolution:
                 acc = EchelonAccumulator(self.ambient_dim(s, t))
                 for c in cols[:old]:
                     acc.add(c)
+                below = self.indexers[s - 1] if s else None
+                units = [(j, below.offset(j, t)) for j in below.gens_in_degree(t)] if s else []
                 for g, c in zip(range(first, last), cols[old:]):
+                    for j, p in units:
+                        if c >> p & 1:
+                            raise AssertionError(
+                                f"unit coefficient on generator {j} in d(g_{s},{g})"
+                            )
+                    if s and combine(prev, c):
+                        raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
                     if not acc.add(c):
                         raise AssertionError(
                             f"generator {g} at (s={s}, t={t}) is redundant: "
@@ -196,6 +193,7 @@ class Resolution:
                         f"exactness needs {need}"
                     )
                 need = len(cols) - acc.rank
+                prev = cols
 
     def chart(self) -> ExtChart:
         dims = tuple(
@@ -219,12 +217,13 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                 r = image.add(v)
                 if r == 0:
                     continue
-                res.indexers[s].add_generator(t)
+                g = res.indexers[s].add_generator(t)
+                if s and combine(res._cols[s - 1][t], r):
+                    raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
                 res.targets[s].append(r)
                 new_cols.append(r)
             res._cols[s][t] = new_cols
             candidates = kernel.basis.data
-    res.verify_d_squared()
     return res
 
 
@@ -281,12 +280,13 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
 
     Checks magic bytes, format version, the module content hash, that every
     generator, augmentation and differential line lies in range (the ``d``
-    lines of a generator name strictly increasing targets), minimality,
-    the d o d = 0 invariant, and exactness with no redundant generator by
-    ranks (:meth:`Resolution.verify_exactness`), before returning; any
-    failure is a :class:`CacheError`.  A file that passes is a minimal
-    resolution of ``module`` in its window, so a missing or an extra
-    generator is caught.
+    lines of a generator name strictly increasing targets), then certifies
+    the resolution in one pass (:meth:`Resolution.verify`: minimality,
+    d o d = 0, and exactness with no redundant generator by ranks), and
+    last that the file is the canonical serialization of what it holds, so
+    a repeated line, a wrong ``gens`` table or a padded number is caught;
+    any failure is a :class:`CacheError`.  A file that passes is a minimal
+    resolution of ``module`` in its window, written in canonical form.
     """
     try:
         with open(path, "r") as fh:
@@ -301,14 +301,9 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
     try:
         header: dict[str, str] = {}
         idx = 1
-        gens_counts: dict[tuple[int, int], int] = {}
-        while lines[idx] != "end_header":
+        while lines[idx] != "end_header":  # the gens table is checked as text, below
             keyword, _, rest = lines[idx].partition(" ")
-            if keyword == "gens":
-                s, t, n = (int(x) for x in rest.split())
-                gens_counts[(s, t)] = n
-            else:
-                header[keyword] = rest
+            header[keyword] = rest
             idx += 1
         version = int(header["version"])
         if version != FORMAT_VERSION:
@@ -358,12 +353,9 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
                 last_j = j
             else:
                 raise CorruptFileError(f"unexpected line {line!r}")
-        for (s, t), n in gens_counts.items():
-            if res.gen_count(s, t) != n:
-                raise CorruptFileError("generator table does not match body")
-        res.verify_minimal()
-        res.verify_d_squared()
-        res.verify_exactness()
+        res.verify()
+        if serialize_resolution(res) != text:
+            raise CorruptFileError("not the canonical serialization of the resolution it holds")
     except CacheError:
         raise
     except AssertionError as exc:

@@ -174,9 +174,7 @@ def suite_resolution(report: SuiteReport) -> None:
 
     def invariants():
         for res in (res_f2, res_q):
-            res.verify_d_squared()
-            res.verify_minimal()
-            res.verify_exactness()
+            res.verify()
 
     def determinism():
         again = minimal_resolution(trivial_module(alg, 20), 8, 20)

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+from xml.etree import ElementTree
 
 import pytest
 
@@ -180,6 +181,7 @@ def test_scenario_svg_output(capsys, tmp_path):
     assert "<svg" in text and "</svg>" in text
     assert "<circle" in text
     assert "<title>" in text  # hover annotations
+    ElementTree.fromstring(text.encode())  # well-formed: the title's "<=" is escaped
 
 
 def test_cache_env_override(capsys, tmp_path, monkeypatch):
@@ -309,8 +311,13 @@ def _replace_line(after, old, new):
         (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 1 3"), "d line of g_2,0 out of range"),
         # the same target generator twice
         (_replace_line("gen 2 0 2", "d 0 1 1", "d 0 1 1\nd 0 1 1"), "d line of g_2,0 out of range"),
+        # files that hold the right resolution in a form no build writes
+        (_replace_line("gen 0 0 0", "aug 1", "aug 1\naug 1"), "not the canonical serialization"),
+        (lambda text: text.replace("gens 3 6 1\n", ""), "not the canonical serialization"),
+        (_replace_line("gen 0 0 0", "aug 1", "aug 0x01"), "not the canonical serialization"),
     ],
-    ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit", "d-repeated"],
+    ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit", "d-repeated",
+         "aug-repeated", "gens-dropped", "hex-padded"],
 )
 def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     tamper, reason, capsys, caplog, tmp_path

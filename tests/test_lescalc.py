@@ -304,3 +304,35 @@ def test_verify_agrees_with_horseshoe_block_check(alg):
                 if flipped >= 2:
                     break
             assert flipped >= 2, s
+
+
+def test_verify_builds_no_tau_columns():
+    # the generator check reads only the columns the lift built for its solves
+    spec = ScenarioSpec("f", 8, 18)
+    fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
+    res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
+    for ses, res_sub, res_quot in (
+        (fac.kernel_sequence(), res[0], res[1]),
+        (fac.cokernel_sequence(), res[1], res[2]),
+    ):
+        lift = horseshoe_lift(ses, res_sub, res_quot)
+        built = {s: dict(cols) for s, cols in lift._tau_cols.items()}
+        lift.verify()
+        assert lift._tau_cols == built
+
+
+def test_verify_names_a_broken_base_or_tau_1(fn_setup):
+    fac, res_k, res_i, _ = fn_setup
+    ses = fac.kernel_sequence()
+    lift = horseshoe_lift(ses, res_k, res_i)
+    bad = ChainLift(ses, res_k, res_i)
+    bad.sigma, bad.tau = [0] * len(lift.sigma), lift.tau
+    # the middle module, Sigma^2 A, starts in degree 2
+    with pytest.raises(AssertionError, match="horseshoe base not surjective at degree 2"):
+        bad.verify()
+    h, t = next(
+        (h, t) for h, t in enumerate(res_i.indexers[1].gen_degrees)
+        if compose(ses.inclusion.columns[t], res_k.diff_columns(0, t))[0]
+    )
+    with pytest.raises(AssertionError, match=rf"generator {h} at \(s=1, t={t}\)"):
+        _with_tau_bit_flipped(lift, 1, h, 0).verify()

@@ -87,9 +87,7 @@ def test_tower(alg):
 
 
 def test_invariants(res_f2):
-    res_f2.verify_d_squared()
-    res_f2.verify_minimal()
-    res_f2.verify_exactness()
+    res_f2.verify()
 
 
 def test_oracle_equivalence(alg):
