@@ -16,16 +16,17 @@ Conventions, fixed repo-wide:
   costs O(rows).  :func:`compose` multiplies two column lists, and
   :func:`rank` takes the columns as they are, since a span has the same
   dimension whether it is read off the rows or the columns.
-  :class:`BitMatrix` remains for chart maps, for the rows that module
-  digests hash, and for the reference functions.
+  :class:`BitMatrix` remains for chart maps and for the reference
+  functions; module digests hash the rows :func:`transpose` gives.
   :func:`image_and_kernel` and :class:`Solver` take a column list too,
   and both eliminate with the one :class:`EchelonAccumulator`: one pass
   gives the image span and the same canonical kernel as
   :func:`kernel_basis`, or a solver with the same answers as
   :func:`solve`, without building the row matrix or transposing it.
-  ``_rref_rows`` (full Gauss-Jordan) is left to :meth:`Subspace.from_rows`,
-  whose reduced bases module digests depend on, and to the references
-  :func:`rref`, :func:`kernel_basis` and :func:`solve`.
+  :meth:`EchelonAccumulator.subspace` reduces by back-substitution to the
+  basis :meth:`Subspace.from_rows` gives.  ``_rref_rows`` (full
+  Gauss-Jordan) is left to :meth:`Subspace.from_rows` and to the
+  references :func:`rref`, :func:`kernel_basis` and :func:`solve`.
 * All outputs are canonical: rref is the unique reduced row-echelon form,
   ``solve`` returns the unique solution supported on pivot columns, and
   quotient complements are spanned by the non-pivot coordinates.  Everything
@@ -58,6 +59,18 @@ def combine(columns: Sequence[int], v: int) -> int:
 def compose(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
     """Column list of outer o inner."""
     return [combine(outer, c) for c in inner]
+
+
+def transpose(columns: Sequence[int], rows: int) -> list[int]:
+    """Rows of the matrix whose j-th column is ``columns[j]``, which has no
+    bit at or above ``rows``."""
+    data = [0] * rows
+    for j, col in enumerate(columns):
+        while col:
+            low = col & -col
+            data[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return data
 
 
 def vector_to_bits(v: int, n: int) -> list[int]:
@@ -112,15 +125,9 @@ class BitMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[int], rows: int) -> "BitMatrix":
         """Build the matrix whose j-th column is the vector ``columns[j]``."""
-        data = [0] * rows
-        for j, col in enumerate(columns):
-            if col >> rows:
-                raise F2Error("column has bits set beyond row count")
-            while col:
-                low = col & -col
-                data[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        return cls(rows, len(columns), data)
+        if any(col >> rows for col in columns):
+            raise F2Error("column has bits set beyond row count")
+        return cls(rows, len(columns), transpose(columns, rows))
 
     def row(self, i: int) -> int:
         return self.data[i]
@@ -466,7 +473,44 @@ class EchelonAccumulator:
         return [self._rows[p] for p in sorted(self._rows, reverse=True)]
 
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.rows(), self.ambient_dim)
+        """The span as :meth:`Subspace.from_rows` gives it, the same rows and
+        pivots: the rows enter a second accumulator bit-reversed, so that
+        each leads at its lowest coordinate, and back-substitution reduces
+        them (:func:`_reversed_rref`)."""
+        n = self.ambient_dim
+        rev = EchelonAccumulator(n)
+        for r in self._rows.values():
+            rev.add(_reverse(r, n))
+        return _reversed_rref(rev._rows, rev._lead, n)
+
+
+def _reverse(v: int, n: int) -> int:
+    """v with coordinate j moved to n - 1 - j."""
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
+def _reversed_rref(rows: dict[int, int], lead: int, n: int) -> Subspace:
+    """The subspace of F2^n spanned by the bit reversals of ``rows``, a
+    semi-echelon basis keyed by leading bit (their mask is ``lead``), in
+    reduced echelon form.
+
+    Back-substitution clears each row's bits at the other leads, rows led
+    lower first: those are already reduced, so XORing one adds no lead bit.
+    A row led by p then has its pivot at coordinate n - 1 - p, its lowest.
+    """
+    leads = sorted(rows)
+    reduced: dict[int, int] = {}
+    for p in leads:
+        r = rows[p]
+        hit = r & lead & ~(1 << p)
+        while hit:
+            low = hit & -hit
+            r ^= reduced[low.bit_length() - 1]
+            hit ^= low
+        reduced[p] = r
+    leads.reverse()
+    basis = [_reverse(reduced[p], n) for p in leads]
+    return Subspace(n, BitMatrix(len(basis), n, basis), tuple(n - 1 - p for p in leads))
 
 
 def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, Subspace]:
@@ -496,16 +540,4 @@ def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumula
             image._lead |= 1 << (p - n)
         else:
             kernel[p] = r
-    kmask = graph._lead & ((1 << n) - 1)
-    leads = sorted(kernel, reverse=True)
-    for p in reversed(leads):
-        # rows below p are already reduced, so XORing one adds no lead bit
-        r = kernel[p]
-        hit = r & kmask & ~(1 << p)
-        while hit:
-            low = hit & -hit
-            r ^= kernel[low.bit_length() - 1]
-            hit ^= low
-        kernel[p] = r
-    basis = [int(format(kernel[p], f"0{n}b")[::-1], 2) for p in leads]
-    return image, Subspace(n, BitMatrix(len(basis), n, basis), tuple(n - 1 - p for p in leads))
+    return image, _reversed_rref(kernel, graph._lead & ((1 << n) - 1), n)

@@ -4,9 +4,8 @@ A module is stored as dimensions per degree plus one action per (Sq^k,
 source degree); a map is one linear map per degree.  Both are column lists,
 the form of :mod:`extlab.f2core` whose entry j is the image of basis vector
 j, applied with :func:`~extlab.f2core.combine` and composed with
-:func:`~extlab.f2core.compose`.  :class:`~extlab.f2core.BitMatrix` rows are
-built only for :meth:`GradedModule.digest`; chart maps and the reference
-functions keep the row form.  Free modules, and
+:func:`~extlab.f2core.compose`; :meth:`GradedModule.digest` hashes their
+rows, from :func:`~extlab.f2core.transpose`.  Free modules, and
 every P_s of a resolution, keep their basis order in a :class:`FreeIndexer`:
 (generator, admissible monomial) in generator-major order.  Its initial
 generators may come in any degree order; ``add_generator``, with which a
@@ -18,7 +17,10 @@ consumers must propagate that margin.  Given one subspace per degree,
 :func:`inclusion_map` builds the submodule and :func:`quotient_map` the
 quotient, each by transport of the action.  :func:`factor_map` cuts a map
 into kernel, image and cokernel through these two builders, and
-:func:`sq1_quotient` builds A//A(0) as a coordinate quotient of A.
+:func:`sq1_quotient` builds A//A(0) as a coordinate quotient of A.  A
+submodule's action is read at the pivots of its reduced bases, with no
+membership test; the linearity checks of :func:`factor_map` over the
+generating squares reject subspaces that some Sq^k leaves.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .f2core import (
-    BitMatrix,
     Subspace,
     combine,
     compose,
     image_and_kernel,
     quotient_section,
     rank as f2rank,
+    transpose,
 )
 from .steenrod import AlgebraElement, AlgebraTable, Monomial
 
@@ -113,8 +115,8 @@ class GradedModule:
             h.update(b"EXTMOD1")
             h.update(repr((self.max_t, self.dims)).encode())
             for (k, t), cols in sorted(self._actions.items()):
-                mat = BitMatrix.from_columns(cols, self.dims[t + k])
-                h.update(repr(((k, t), mat.shape, mat.data)).encode())
+                rows = self.dims[t + k]
+                h.update(repr(((k, t), (rows, len(cols)), tuple(transpose(cols, rows)))).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -425,19 +427,28 @@ class FactoredMap:
 
 def inclusion_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
     """Inclusion into ``mid`` of the submodule whose degree-t part is
-    ``subs[t]``, on the window 0..len(subs) - 1; raises ExactnessError when
-    some Sq^k leaves the subspaces."""
+    ``subs[t]``, on the window 0..len(subs) - 1.
+
+    Precondition: the subspaces are closed under every Sq^k of ``mid``.  A
+    vector of a reduced-echelon subspace has its coordinates at the pivots,
+    so the induced Sq^k is read through the selection columns ``sel[p_i] =
+    e_i``, with no membership test.  Where some Sq^(2^i) leaves the
+    subspaces, that read is wrong and the inclusion fails ``check_linearity``
+    over the generating squares; closure under those gives closure under
+    every Sq^k in the window, as each Sq^k is a sum of products of them.
+    """
     bound = len(subs) - 1
-    actions = {}
-    for k in range(1, bound + 1):
-        for t in range(0, bound - k + 1):
-            cols = []
-            for v in subs[t].basis.data:
-                coords = subs[t + k].coordinates(mid.apply_sq(k, t, v))
-                if coords is None:
-                    raise ExactnessError(f"Sq^{k} escapes the subspace at degree {t}")
-                cols.append(coords)
-            actions[(k, t)] = cols
+    sels = []
+    for t, sub in enumerate(subs):
+        sel = [0] * mid.dim(t)
+        for i, p in enumerate(sub.pivots):
+            sel[p] = 1 << i
+        sels.append(sel)
+    actions = {
+        (k, t): compose(compose(sels[t + k], mid.action(k, t)), subs[t].basis.data)
+        for k in range(1, bound + 1)
+        for t in range(0, bound - k + 1)
+    }
     sub = GradedModule(mid.algebra, bound, [s.rank for s in subs], actions)
     return ModuleMap(sub, mid, tuple(list(s.basis.data) for s in subs))
 

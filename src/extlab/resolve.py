@@ -275,30 +275,34 @@ def save_resolution(res: Resolution, path: str) -> None:
         raise
 
 
-def load_resolution(path: str, module: GradedModule) -> Resolution:
-    """Load and validate a cached resolution of ``module``.
+def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> Resolution:
+    """Load and validate a cached resolution of ``module`` in the window
+    (max_s, max_t).
 
-    Checks magic bytes, format version, the module content hash, that every
-    generator, augmentation and differential line lies in range (the ``d``
-    lines of a generator name strictly increasing targets), then certifies
-    the resolution in one pass (:meth:`Resolution.verify`: minimality,
-    d o d = 0, and exactness with no redundant generator by ranks), and
-    last that the file is the canonical serialization of what it holds, so
-    a repeated line, a wrong ``gens`` table or a padded number is caught;
-    any failure is a :class:`CacheError`.  A file that passes is a minimal
-    resolution of ``module`` in its window, written in canonical form.
+    Checks that the file is ASCII, its magic bytes, format version, module
+    content hash and window: all before a :class:`Resolution` is built, so
+    the numbers in a header never set the cost of a load.  Then checks that every generator,
+    augmentation and differential line lies in range (the ``d`` lines of a
+    generator name strictly increasing targets), certifies the resolution
+    in one pass (:meth:`Resolution.verify`: minimality, d o d = 0, and
+    exactness with no redundant generator by ranks), and last that the file
+    is the canonical serialization of what it holds, so a repeated line, a
+    wrong ``gens`` table or a padded number is caught; any failure is a
+    :class:`CacheError`.  A file that passes is a minimal resolution of
+    ``module`` in its window, written in canonical form.
     """
     try:
-        with open(path, "r") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CorruptFileError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
-        raise CorruptFileError("missing EXTLAB1 magic")
-    if not text.endswith("end\n"):
-        raise CorruptFileError("truncated file: missing end marker")
     try:
+        text = data.decode("ascii")
+        lines = text.splitlines()
+        if not lines or lines[0] != MAGIC:
+            raise CorruptFileError("missing EXTLAB1 magic")
+        if not text.endswith("end\n"):
+            raise CorruptFileError("truncated file: missing end marker")
         header: dict[str, str] = {}
         idx = 1
         while lines[idx] != "end_header":  # the gens table is checked as text, below
@@ -315,8 +319,12 @@ def load_resolution(path: str, module: GradedModule) -> Resolution:
                 "cache was built from a different module "
                 f"({header['module'][:12]}.. != {module.digest()[:12]}..)"
             )
-        max_s = int(header["max_s"])
-        max_t = int(header["max_t"])
+        held = (int(header["max_s"]), int(header["max_t"]))
+        if held != (max_s, max_t):
+            raise CacheError(
+                f"it holds the window (s={held[0]}, t={held[1]}), "
+                f"not the requested (s={max_s}, t={max_t})"
+            )
         res = Resolution(module, max_s, max_t)
         idx += 1
         cur: Optional[tuple[int, int, int]] = None
@@ -387,12 +395,7 @@ def cached_resolution(
     path = cache_path(cache_dir, module, max_s, max_t)
     if os.path.exists(path):
         try:
-            res = load_resolution(path, module)
-            if (res.max_s, res.max_t) != (max_s, max_t):
-                raise CacheError(
-                    f"it holds the window (s={res.max_s}, t={res.max_t}), "
-                    f"not the requested (s={max_s}, t={max_t})"
-                )
+            res = load_resolution(path, module, max_s, max_t)
             logger.info("cache hit %s", path)
             return res
         except CacheError as exc:

@@ -187,7 +187,7 @@ def suite_resolution(report: SuiteReport) -> None:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "r.extres")
             save_resolution(res_f2, path)
-            loaded = load_resolution(path, f2)
+            loaded = load_resolution(path, f2, 8, 20)
             path2 = os.path.join(d, "r2.extres")
             save_resolution(loaded, path2)
             with open(path, "rb") as a, open(path2, "rb") as b:

@@ -315,9 +315,11 @@ def _replace_line(after, old, new):
         (_replace_line("gen 0 0 0", "aug 1", "aug 1\naug 1"), "not the canonical serialization"),
         (lambda text: text.replace("gens 3 6 1\n", ""), "not the canonical serialization"),
         (_replace_line("gen 0 0 0", "aug 1", "aug 0x01"), "not the canonical serialization"),
+        # one byte 0xff inside the module line, written as latin-1 below
+        (lambda text: text[:20] + "\xff" + text[21:], "can't decode byte 0xff in position 20"),
     ],
     ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit", "d-repeated",
-         "aug-repeated", "gens-dropped", "hex-padded"],
+         "aug-repeated", "gens-dropped", "hex-padded", "non-ascii-byte"],
 )
 def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     tamper, reason, capsys, caplog, tmp_path
@@ -331,7 +333,7 @@ def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     fresh_file = path.read_bytes()
     bad = tamper(fresh_file.decode())
     assert bad != fresh_file.decode()
-    path.write_text(bad)
+    path.write_bytes(bad.encode("latin-1"))
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out == fresh_out
@@ -339,6 +341,34 @@ def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert name in warnings[0] and reason in warnings[0]
+
+
+def test_header_window_is_refused_before_building(monkeypatch, capsys, caplog, tmp_path):
+    """A header that claims max_s 200000 is refused for its window before a
+    Resolution of that size is built, then recomputed."""
+    argv = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code, fresh_out, _ = run(argv, capsys)
+    assert code == 0
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    fresh_file = path.read_bytes()
+    path.write_bytes(fresh_file.replace(b"\nmax_s 3\n", b"\nmax_s 200000\n"))
+    build = Resolution.__init__
+
+    def requested_window_only(self, module, max_s, max_t):
+        if (max_s, max_t) != (3, 6):
+            raise _Built(f"Resolution at (s={max_s}, t={max_t})")
+        build(self, module, max_s, max_t)
+
+    monkeypatch.setattr(Resolution, "__init__", requested_window_only)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == fresh_out
+    assert path.read_bytes() == fresh_file
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert name in warnings[0] and "window (s=200000, t=6)" in warnings[0]
 
 
 def test_cache_file_of_another_window_is_logged_and_recomputed(capsys, caplog, tmp_path):

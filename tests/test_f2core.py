@@ -246,6 +246,18 @@ def test_image_and_kernel_match_kernel_basis(cr):
     assert image.subspace() == column_space(m)
 
 
+@given(column_lists())
+@settings(max_examples=300, deadline=None)
+def test_accumulator_subspace_matches_from_rows(cr):
+    vectors, n = cr
+    acc = EchelonAccumulator(n)
+    for v in vectors:
+        acc.add(v)
+    sub, reference = acc.subspace(), Subspace.from_rows(vectors, n)
+    assert sub.basis.data == reference.basis.data
+    assert sub.pivots == reference.pivots
+
+
 def test_image_and_kernel_edges():
     assert image_and_kernel([], 0)[1].basis.data == ()
     assert image_and_kernel([], 3)[0].rank == 0

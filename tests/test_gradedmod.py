@@ -1,5 +1,6 @@
 import pytest
 
+from extlab.f2core import Subspace
 from extlab.gradedmod import (
     ExactnessError,
     FreeIndexer,
@@ -11,6 +12,7 @@ from extlab.gradedmod import (
     sq1_quotient,
     trivial_module,
 )
+from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 
 MAX_T = 14
@@ -201,6 +203,38 @@ def test_linearity_checked_over_every_generating_square(alg):
     broken.check_linearity(ks=[1, 2])  # the old sample passes
     with pytest.raises(ExactnessError):
         factor_map(broken)
+
+
+@pytest.mark.parametrize("kind, n", [("fn", 4), ("fnz", 4), ("f", None), ("f-conj", None)])
+def test_induced_actions_read_through_the_pivots(kind, n):
+    """inclusion_map reads Sq^k at the pivots with no membership test, and
+    factor_map checks linearity over the generating squares only.  On the
+    scenario maps the read equals ``Subspace.coordinates`` of each Sq^k v,
+    for every k, and the four maps of the factorization are linear over
+    every Sq^k."""
+    max_t = 18
+    fac = factor_map(scenario_map(ScenarioSpec(kind, 2, max_t, n), AlgebraTable(max_t)))
+    for incl in (fac.i_K, fac.i_I):
+        sub, mid = incl.domain, incl.codomain
+        subs = [Subspace.from_rows(cols, mid.dim(t)) for t, cols in enumerate(incl.columns)]
+        assert [list(s.basis.data) for s in subs] == list(incl.columns)
+        for k in range(1, max_t + 1):
+            for t in range(max_t - k + 1):
+                reference = [
+                    subs[t + k].coordinates(mid.apply_sq(k, t, v)) for v in incl.columns[t]
+                ]
+                assert sub.action(k, t) == reference, (k, t)
+    for mp in (fac.i_K, fac.p_I, fac.i_I, fac.p_C):
+        mp.check_linearity()
+
+
+def test_image_that_is_no_submodule_is_rejected(alg, amod):
+    """F2 -> A sending 1 to the unit is not A-linear, and its image, the
+    unit alone, is no submodule.  The pivot read drops Sq^1 of the unit,
+    and factor_map rejects the map by the linearity of i_I and p_C."""
+    unit = ModuleMap(trivial_module(alg, MAX_T), amod, ([1],) + ([],) * MAX_T)
+    with pytest.raises(ExactnessError, match="not linear over Sq\\^1 at degree 0"):
+        factor_map(unit)
 
 
 def test_free_indexer_with_unsorted_generators(alg):

@@ -117,7 +117,7 @@ def test_determinism(alg):
 def test_save_load_round_trip(tmp_path, alg, res_f2):
     path = str(tmp_path / "f2.extres")
     save_resolution(res_f2, path)
-    loaded = load_resolution(path, trivial_module(alg, 14))
+    loaded = load_resolution(path, trivial_module(alg, 14), 6, 14)
     assert serialize_resolution(loaded) == serialize_resolution(res_f2)
     path2 = str(tmp_path / "again.extres")
     save_resolution(loaded, path2)
@@ -139,7 +139,7 @@ def test_load_gives_the_built_differential(tmp_path, alg, build, max_s):
     built = minimal_resolution(module, max_s, 14)
     path = str(tmp_path / "res.extres")
     save_resolution(built, path)
-    loaded = load_resolution(path, module)
+    loaded = load_resolution(path, module, max_s, 14)
     assert loaded.targets == built.targets
     assert [ix.gen_degrees for ix in loaded.indexers] == [
         ix.gen_degrees for ix in built.indexers
@@ -150,7 +150,7 @@ def test_load_hash_mismatch(tmp_path, alg, res_f2):
     path = str(tmp_path / "f2.extres")
     save_resolution(res_f2, path)
     with pytest.raises(HashMismatchError):
-        load_resolution(path, sq1_quotient(alg, 14).codomain)
+        load_resolution(path, sq1_quotient(alg, 14).codomain, 6, 14)
 
 
 def test_load_truncated(tmp_path, alg, res_f2):
@@ -161,7 +161,7 @@ def test_load_truncated(tmp_path, alg, res_f2):
     with open(path, "w") as fh:
         fh.write(text[: len(text) // 2])
     with pytest.raises(CorruptFileError):
-        load_resolution(path, trivial_module(alg, 14))
+        load_resolution(path, trivial_module(alg, 14), 6, 14)
 
 
 def test_load_bad_magic(tmp_path, alg):
@@ -169,7 +169,7 @@ def test_load_bad_magic(tmp_path, alg):
     with open(path, "w") as fh:
         fh.write("NOTEXTLAB\nend\n")
     with pytest.raises(CorruptFileError):
-        load_resolution(path, trivial_module(alg, 14))
+        load_resolution(path, trivial_module(alg, 14), 6, 14)
 
 
 def test_load_version_mismatch(tmp_path, alg, res_f2):
@@ -180,7 +180,7 @@ def test_load_version_mismatch(tmp_path, alg, res_f2):
     with open(path, "w") as fh:
         fh.write(text)
     with pytest.raises(VersionMismatchError):
-        load_resolution(path, trivial_module(alg, 14))
+        load_resolution(path, trivial_module(alg, 14), 6, 14)
 
 
 def test_cached_resolution(tmp_path, alg):
