@@ -1,44 +1,32 @@
-"""Exact linear algebra over GF(2) with bit-packed rows.
+"""Exact linear algebra over GF(2) with bit-packed vectors.
 
 Conventions, fixed repo-wide:
 
 * A vector in F2^n is a Python int whose bit ``j`` (value ``(v >> j) & 1``)
-  is coordinate ``j``.  Python ints give arbitrarily wide rows and word-level
-  XOR for free; row XOR is the hot loop of every computation in this repo.
-* A :class:`BitMatrix` with ``rows`` rows and ``cols`` columns represents a
-  linear map F2^cols -> F2^rows.  Vectors are columns and maps act on the
-  left: ``(m @ v)`` has bit ``i`` equal to ``<row_i, v>``.
-* Maps of the module layer (module actions, module maps, free-module
-  differentials, chain lifts) are held as *column lists*: a sequence whose
-  entry ``j`` is the image of basis vector ``j``.  The product with a
-  vector is :func:`combine`, the XOR of the columns picked out by the set
-  bits of ``v``; it costs O(popcount v) XORs where ``BitMatrix.mul_vec``
-  costs O(rows).  :func:`compose` multiplies two column lists, and
-  :func:`rank` takes the columns as they are, since a span has the same
-  dimension whether it is read off the rows or the columns.
-  :class:`BitMatrix` remains for chart maps and for the reference
-  functions; module digests hash the rows :func:`transpose` gives.
-  :func:`image_and_kernel` and :class:`Solver` take a column list too,
-  and both eliminate with the one :class:`EchelonAccumulator`: one pass
-  gives the image span and the same canonical kernel as
-  :func:`kernel_basis`, or a solver with the same answers as
-  :func:`solve`, without building the row matrix or transposing it.
-  :meth:`EchelonAccumulator.subspace` reduces by back-substitution to the
-  basis :meth:`Subspace.from_rows` gives.  ``_rref_rows`` (full
-  Gauss-Jordan) is left to :meth:`Subspace.from_rows` and to the
-  references :func:`rref`, :func:`kernel_basis` and :func:`solve`.
-* All outputs are canonical: rref is the unique reduced row-echelon form,
-  ``solve`` returns the unique solution supported on pivot columns, and
-  quotient complements are spanned by the non-pivot coordinates.  Everything
-  downstream is therefore deterministic and cache files are reproducible.
-
-Matrices and subspaces are immutable after construction and safe to share.
+  is coordinate ``j``.  Python ints give arbitrarily wide vectors and
+  word-level XOR for free; XOR is the hot loop of every computation here.
+* The one matrix form is the *column list*, whose entry ``j`` is the image
+  of basis vector ``j``: module actions and maps, differentials, chain
+  lifts and boundary maps alike.  :func:`combine` applies one to a vector
+  in O(popcount v) XORs, :func:`compose` multiplies two, and :func:`rank`
+  takes the columns as they are.  Module digests hash the rows
+  :func:`transpose` gives.
+* The one elimination is :class:`EchelonAccumulator`.  On a column list,
+  :func:`image_and_kernel` gives the image span and the canonical kernel
+  in one pass, and :class:`Solver` the canonical solutions;
+  :meth:`EchelonAccumulator.subspace` reduces a span by back-substitution.
+  The row-form Gauss-Jordan they are tested against lives in
+  ``tests/f2ref.py``.
+* All outputs are canonical: a :class:`Subspace` holds the unique reduced
+  row-echelon basis of its span, ``Solver.solve`` returns the unique
+  solution supported on pivot columns, and quotient complements are
+  spanned by the non-pivot coordinates.  Everything downstream is
+  therefore deterministic and cache files are reproducible.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -73,212 +61,32 @@ def transpose(columns: Sequence[int], rows: int) -> list[int]:
     return data
 
 
-def vector_to_bits(v: int, n: int) -> list[int]:
-    return [(v >> j) & 1 for j in range(n)]
-
-
-class BitMatrix:
-    """Immutable dense GF(2) matrix with one int per row."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: Sequence[int]):
-        if rows < 0 or cols < 0:
-            raise F2Error("negative dimensions")
-        if len(data) != rows:
-            raise F2Error(f"expected {rows} rows, got {len(data)}")
-        mask = (1 << cols) - 1
-        for r in data:
-            if r & ~mask:
-                raise F2Error("row has bits set beyond column count")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitMatrix is immutable")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
-        rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if rows else 0
-        data = []
-        for row in entries:
-            if len(row) != cols:
-                raise F2Error("ragged rows")
-            acc = 0
-            for j, e in enumerate(row):
-                if e & 1:
-                    acc |= 1 << j
-            data.append(acc)
-        return cls(rows, cols, data)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[int], rows: int) -> "BitMatrix":
-        """Build the matrix whose j-th column is the vector ``columns[j]``."""
-        if any(col >> rows for col in columns):
-            raise F2Error("column has bits set beyond row count")
-        return cls(rows, len(columns), transpose(columns, rows))
-
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def column(self, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise F2Error("column index out of range")
-        acc = 0
-        for i, r in enumerate(self.data):
-            if (r >> j) & 1:
-                acc |= 1 << i
-        return acc
-
-    def columns(self) -> list[int]:
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return out
-
-    def mul_vec(self, v: int) -> int:
-        """m @ v for a column vector v in F2^cols."""
-        if v >> self.cols:
-            raise F2Error("vector has bits set beyond column count")
-        acc = 0
-        for i, r in enumerate(self.data):
-            if (r & v).bit_count() & 1:
-                acc |= 1 << i
-        return acc
-
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise F2Error(f"shape mismatch: {self.shape} @ {other.shape}")
-        data = []
-        for r in self.data:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.data[low.bit_length() - 1]
-                rr ^= low
-            data.append(acc)
-        return BitMatrix(self.rows, other.cols, data)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_columns(self.data, self.cols)
-
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def to_dense(self) -> list[list[int]]:
-        return [vector_to_bits(r, self.cols) for r in self.data]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.shape == other.shape
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
-
-
-def _rref_rows(data: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place full Gauss-Jordan; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    rank = 0
-    nrows = len(data)
-    for col in range(cols):
-        bit = 1 << col
-        pivot = -1
-        for i in range(rank, nrows):
-            if data[i] & bit:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        data[rank], data[pivot] = data[pivot], data[rank]
-        prow = data[rank]
-        for i in range(nrows):
-            if i != rank and data[i] & bit:
-                data[i] ^= prow
-        pivots.append(col)
-        rank += 1
-    return data, pivots
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: "BitMatrix"
-    pivots: tuple[int, ...]
-    rank: int
-
-
-def rref(m: BitMatrix) -> RrefResult:
-    """Unique reduced row-echelon form of m, with pivot columns and rank."""
-    data, pivots = _rref_rows(list(m.data), m.cols)
-    return RrefResult(BitMatrix(m.rows, m.cols, data), tuple(pivots), len(pivots))
-
-
 class Subspace:
-    """A subspace of F2^n stored as a reduced row-echelon basis.
+    """An immutable subspace of F2^n, stored as its reduced row-echelon basis.
 
-    Rows of ``basis`` are the basis vectors; pivot columns are strictly
-    increasing and each pivot column has a single 1, so the representation
-    is unique for the subspace.
+    ``rows`` are the basis vectors and ``pivots[i]`` is the pivot of
+    ``rows[i]``; pivots are strictly increasing and each pivot column has a
+    single 1, so the representation is unique for the subspace.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: BitMatrix, pivots: tuple[int, ...]):
-        if basis.cols != ambient_dim:
-            raise F2Error("basis width does not match ambient dimension")
-        if len(pivots) != basis.rows:
+    def __init__(self, ambient_dim: int, rows: Sequence[int], pivots: tuple[int, ...]):
+        rows = tuple(rows)
+        if any(r >> ambient_dim for r in rows):
+            raise F2Error("a basis row has a bit at or above the ambient dimension")
+        if len(pivots) != len(rows):
             raise F2Error("pivot count does not match basis rank")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def from_rows(cls, vectors: Iterable[int], ambient_dim: int) -> "Subspace":
-        data, pivots = _rref_rows(list(vectors), ambient_dim)
-        data = [r for r in data if r]
-        return cls(ambient_dim, BitMatrix(len(data), ambient_dim, data), tuple(pivots))
-
     @property
     def rank(self) -> int:
-        return self.basis.rows
-
-    def reduce(self, v: int) -> int:
-        """Canonical representative of v modulo this subspace."""
-        for row, p in zip(self.basis.data, self.pivots):
-            if (v >> p) & 1:
-                v ^= row
-        return v
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
+        return len(self.rows)
 
     def coordinates(self, v: int) -> Optional[int]:
         """Coefficients of v over the basis rows, or None if v is outside.
@@ -298,40 +106,17 @@ class Subspace:
             if i < len(pivots) and pivots[i] == p:
                 coords |= 1 << i
             rest ^= low
-        return coords if combine(self.basis.data, coords) == v else None
+        return coords if combine(self.rows, coords) == v else None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.rank} of F2^{self.ambient_dim})"
-
-
-def kernel_basis(m: BitMatrix) -> Subspace:
-    """Basis of {v : m @ v = 0}, canonicalized to reduced row-echelon form."""
-    res = rref(m)
-    pivot_set = set(res.pivots)
-    vectors = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = 1 << j
-        for r, p in zip(res.matrix.data, res.pivots):
-            if (r >> j) & 1:
-                v |= 1 << p
-        vectors.append(v)
-    return Subspace.from_rows(vectors, m.cols)
-
-
-def column_space(m: BitMatrix) -> Subspace:
-    return Subspace.from_rows(m.columns(), m.rows)
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -343,27 +128,6 @@ def rank(vectors: Iterable[int]) -> int:
     return acc.rank
 
 
-def solve(m: BitMatrix, b: int) -> Optional[int]:
-    """Canonical x with m @ x = b, or None if the system is inconsistent.
-
-    The solution is the one produced by rref back-substitution with all free
-    variables set to zero; it is unique for given inputs.
-    """
-    if b >> m.rows:
-        raise F2Error("right-hand side has bits set beyond row count")
-    aug = [r | (((b >> i) & 1) << m.cols) for i, r in enumerate(m.data)]
-    data, pivots = _rref_rows(aug, m.cols)
-    bcol = 1 << m.cols
-    x = 0
-    for r, p in zip(data, pivots):
-        if r & bcol:
-            x |= 1 << p
-    for i in range(len(pivots), m.rows):
-        if data[i] & bcol:
-            return None
-    return x
-
-
 class Solver:
     """Reusable solver for many right-hand sides against a fixed matrix.
 
@@ -373,7 +137,8 @@ class Solver:
     part means b is outside the image.  Otherwise the remainder is x with
     m @ x = b and no bit at a leading position below n.  Those leads are the
     highest coordinates of kernel vectors, which are exactly rref's non-pivot
-    columns, so x is :func:`solve`'s answer bit for bit.
+    columns, so x is the answer of full Gauss-Jordan with every free variable
+    set to zero, bit for bit: the reference ``solve`` of ``tests/f2ref.py``.
     """
 
     __slots__ = ("rows", "_shift", "_graph")
@@ -413,7 +178,7 @@ def quotient_section(ambient_dim: int, sub: Subspace) -> tuple[list[int], list[i
     proj = [0] * ambient_dim
     for k, j in enumerate(free):
         proj[j] = 1 << k
-    for r, p in zip(sub.basis.data, sub.pivots):
+    for r, p in zip(sub.rows, sub.pivots):
         proj[p] = combine(proj, r ^ (1 << p))
     return proj, free
 
@@ -468,15 +233,12 @@ class EchelonAccumulator:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def rows(self) -> list[int]:
-        """A basis of the span, leading bits descending."""
-        return [self._rows[p] for p in sorted(self._rows, reverse=True)]
-
     def subspace(self) -> Subspace:
-        """The span as :meth:`Subspace.from_rows` gives it, the same rows and
-        pivots: the rows enter a second accumulator bit-reversed, so that
-        each leads at its lowest coordinate, and back-substitution reduces
-        them (:func:`_reversed_rref`)."""
+        """The span in reduced echelon form, the same rows and pivots as full
+        Gauss-Jordan (``subspace_from_rows`` of ``tests/f2ref.py``): the rows
+        enter a second accumulator bit-reversed, so that each leads at its
+        lowest coordinate, and back-substitution reduces them
+        (:func:`_reversed_rref`)."""
         n = self.ambient_dim
         rev = EchelonAccumulator(n)
         for r in self._rows.values():
@@ -510,7 +272,7 @@ def _reversed_rref(rows: dict[int, int], lead: int, n: int) -> Subspace:
         reduced[p] = r
     leads.reverse()
     basis = [_reverse(reduced[p], n) for p in leads]
-    return Subspace(n, BitMatrix(len(basis), n, basis), tuple(n - 1 - p for p in leads))
+    return Subspace(n, basis, tuple(n - 1 - p for p in leads))
 
 
 def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, Subspace]:
@@ -522,9 +284,9 @@ def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumula
     or above n carry the image in their high part, with distinct leads;
     rows led below n have no high part and are kernel vectors, one per
     dimension of the kernel.  Back-substitution among the kernel rows and a
-    bit reversal give ``kernel_basis(BitMatrix.from_columns(columns,
-    rows))``, the same rows and pivots: a row led by p has its pivot at
-    coordinate n - 1 - p.
+    bit reversal give the kernel that full Gauss-Jordan reads off the
+    non-pivot columns, the same rows and pivots (``kernel_basis`` of
+    ``tests/f2ref.py``): a row led by p has its pivot at coordinate n - 1 - p.
     """
     n = len(columns)
     graph = EchelonAccumulator(rows + n)

@@ -1,24 +1,26 @@
 """Degreewise-finite graded left modules over the Steenrod algebra.
 
 A module is stored as dimensions per degree plus one action per (Sq^k,
-source degree); a map is one linear map per degree.  Both are column lists,
-the form of :mod:`extlab.f2core` whose entry j is the image of basis vector
-j, applied with :func:`~extlab.f2core.combine` and composed with
+source degree); a map is one linear map per degree.  Both are held in the
+library's one matrix form, the column list of :mod:`extlab.f2core` (entry j
+is the image of basis vector j), applied with
+:func:`~extlab.f2core.combine` and composed with
 :func:`~extlab.f2core.compose`; :meth:`GradedModule.digest` hashes their
-rows, from :func:`~extlab.f2core.transpose`.  Free modules, and
-every P_s of a resolution, keep their basis order in a :class:`FreeIndexer`:
+rows, from :func:`~extlab.f2core.transpose`.  Free modules, and every P_s
+of a resolution, keep their basis order in a :class:`FreeIndexer`:
 (generator, admissible monomial) in generator-major order.  Its initial
 generators may come in any degree order; ``add_generator``, with which a
 resolution grows, appends in non-decreasing degree.  Its ``map_columns`` is
 the one routine that builds the columns of a map out of a free module.
 
 Everything is only meaningful up to the construction bound ``max_t``:
-consumers must propagate that margin.  Given one subspace per degree,
+consumers must propagate that margin.  Given one
+:class:`~extlab.f2core.Subspace` per degree, a tuple of reduced rows,
 :func:`inclusion_map` builds the submodule and :func:`quotient_map` the
 quotient, each by transport of the action.  :func:`factor_map` cuts a map
 into kernel, image and cokernel through these two builders, and
 :func:`sq1_quotient` builds A//A(0) as a coordinate quotient of A.  A
-submodule's action is read at the pivots of its reduced bases, with no
+submodule's action is read at the pivots of its reduced rows, with no
 membership test; the linearity checks of :func:`factor_map` over the
 generating squares reject subspaces that some Sq^k leaves.
 """
@@ -119,31 +121,6 @@ class GradedModule:
                 h.update(repr(((k, t), (rows, len(cols)), tuple(transpose(cols, rows)))).encode())
             self._digest = h.hexdigest()
         return self._digest
-
-    def check_actions(self, sample_only: bool = False) -> None:
-        """Verify the Adem relations hold on the stored action matrices.
-
-        For every inadmissible pair (a, b), action(a) o action(b) must equal
-        the sum of the admissible rewriting applied as maps.  The full
-        check is quadratic in max_t; ``sample_only`` restricts to a <= 4.
-        """
-        alg = self.algebra
-        amax = 4 if sample_only else self.max_t
-        for a in range(1, amax + 1):
-            for b in range(1, self.max_t + 1):
-                if a >= 2 * b:
-                    continue
-                for t in range(0, self.max_t - a - b + 1):
-                    lhs = compose(self.action(a, t + b), self.action(b, t))
-                    rhs = [0] * self.dim(t)
-                    for mono in alg.terms(alg.adem_reduce([a, b])):
-                        if len(mono) == 1:
-                            term = self.action(mono[0], t)
-                        else:
-                            term = compose(self.action(mono[0], t + mono[1]), self.action(mono[1], t))
-                        rhs = [x ^ y for x, y in zip(rhs, term)]
-                    if lhs != rhs:
-                        raise ExactnessError(f"Adem relation Sq^{a}Sq^{b} fails at degree {t}")
 
     def __repr__(self) -> str:
         return f"GradedModule(max_t={self.max_t}, dims={self.dims})"
@@ -445,12 +422,12 @@ def inclusion_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
             sel[p] = 1 << i
         sels.append(sel)
     actions = {
-        (k, t): compose(compose(sels[t + k], mid.action(k, t)), subs[t].basis.data)
+        (k, t): compose(compose(sels[t + k], mid.action(k, t)), subs[t].rows)
         for k in range(1, bound + 1)
         for t in range(0, bound - k + 1)
     }
     sub = GradedModule(mid.algebra, bound, [s.rank for s in subs], actions)
-    return ModuleMap(sub, mid, tuple(list(s.basis.data) for s in subs))
+    return ModuleMap(sub, mid, tuple(list(s.rows) for s in subs))
 
 
 def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
@@ -511,17 +488,15 @@ def sq1_quotient(algebra: AlgebraTable, max_t: int) -> ModuleMap:
     A·Sq^1 is spanned by the admissible monomials that end in Sq^1: for an
     admissible a, a·Sq^1 is 0 if a ends in Sq^1 and the admissible (*a, 1)
     otherwise.  So the quotient keeps the other admissible monomials, and
-    its action is "multiply, then drop the terms that end in Sq^1".  The
+    its action is "multiply, then drop the terms that end in Sq^1".  Their
+    coordinate span is already reduced: row ``1 << i`` has pivot i.  The
     linearity check guards that the span is a left ideal.
     """
     free = free_module(algebra, [0], max_t)
-    subs = [
-        Subspace.from_rows(
-            (1 << i for i, mono in enumerate(algebra.basis(t)) if mono and mono[-1] == 1),
-            free.dim(t),
-        )
-        for t in range(max_t + 1)
-    ]
+    subs = []
+    for t in range(max_t + 1):
+        ends = [i for i, mono in enumerate(algebra.basis(t)) if mono and mono[-1] == 1]
+        subs.append(Subspace(free.dim(t), [1 << i for i in ends], tuple(ends)))
     p = quotient_map(free, subs)
     p.check_linearity(ks=_generating_squares(max_t))
     return p

@@ -9,15 +9,54 @@ kernels greedily, and Ext dimensions are read off as homology of the
 dualized resolution (unit-coefficient matrices), so the result does not
 depend on the cover being minimal.
 
-Shares only :mod:`extlab.f2core` with the engine.  Desk bounds only; this is
-a test oracle, not a tool.
+It imports nothing from :mod:`extlab`: its linear algebra is its own small
+Gauss-Jordan (:class:`Span`, :func:`kernel`, :func:`rank`) on rows packed
+into ints, so an elimination bug in the engine cannot reach both sides of
+a comparison.  Desk bounds only; this is a test oracle, not a tool.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .f2core import BitMatrix, EchelonAccumulator, kernel_basis, rank
+
+class Span:
+    """A subspace kept in reduced row-echelon form: ``rows[p]`` is the basis
+    row whose lowest set bit is p, and no other row has bit p set."""
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+
+    def add(self, v: int) -> bool:
+        """Add v to the span; False if it was already inside."""
+        for p, r in self.rows.items():
+            if v >> p & 1:
+                v ^= r
+        if not v:
+            return False
+        p = (v & -v).bit_length() - 1
+        for q, r in self.rows.items():
+            if r >> p & 1:
+                self.rows[q] = r ^ v
+        self.rows[p] = v
+        return True
+
+
+def rank(rows: list[int]) -> int:
+    span = Span()
+    return sum(span.add(r) for r in rows)
+
+
+def kernel(columns: list[int], nrows: int) -> list[int]:
+    """A basis of {x : m x = 0} for the nrows-row matrix m whose j-th column
+    is ``columns[j]``: one vector per non-pivot column of its reduced rows."""
+    span = Span()
+    for i in range(nrows):
+        span.add(sum(((c >> i) & 1) << j for j, c in enumerate(columns)))
+    return [
+        sum(1 << p for p, r in span.rows.items() if r >> j & 1) | 1 << j
+        for j in range(len(columns)) if j not in span.rows
+    ]
 
 
 Word = tuple[int, ...]
@@ -173,10 +212,10 @@ def oracle_ext_dims(kind: str, max_s: int, max_t: int) -> dict[tuple[int, int], 
         below = levels[s - 2] if s >= 2 else None
         gens: list[int] = []
         tgts: list[int] = []
-        spans = [EchelonAccumulator(prev.dim(t)) for t in range(max_t + 1)]
+        spans = [Span() for _ in range(max_t + 1)]
         for t in range(max_t + 1):
             for k in range(1, t + 1):
-                for row in spans[t - k].rows():
+                for row in spans[t - k].rows.values():
                     spans[t].add(prev.apply_sq(k, t - k, row))
             if s == 1:
                 needed = [1 << i for i in range(module.dim(t))]
@@ -185,34 +224,34 @@ def oracle_ext_dims(kind: str, max_s: int, max_t: int) -> dict[tuple[int, int], 
                     below.apply_word(w, gen_degrees[s - 1][g], targets[s - 1][g])
                     for g, w in prev.elements(t)
                 ]
-                needed = list(kernel_basis(BitMatrix.from_columns(cols, below.dim(t))).basis.data)
+                needed = kernel(cols, below.dim(t))
             for v in needed:
-                if not spans[t].contains(v):
+                if spans[t].add(v):
                     gens.append(t)
                     tgts.append(v)
-                    spans[t].add(v)
         levels.append(_Level(None, gens))
         gen_degrees.append(gens)
         targets.append(tgts)
 
     # Indexing note: levels[s+1] is the free module P_s.
-    def unit_matrix(p: int, t: int) -> BitMatrix:
-        """Pairing of degree-t generators of P_{p-1} against d_p targets."""
+    def unit_matrix(p: int, t: int) -> list[int]:
+        """Pairing of degree-t generators of P_{p-1} against d_p targets,
+        one int per target."""
         lev_rows = p  # level index of P_{p-1}
         rows = [g for g, d in enumerate(gen_degrees[lev_rows]) if d == t]
         cols_g = [g for g, d in enumerate(gen_degrees[lev_rows + 1]) if d == t]
         idx = levels[lev_rows].index(t)
-        dense = [
-            [(targets[lev_rows + 1][gj] >> idx[(gi, ())]) & 1 for gj in cols_g]
-            for gi in rows
+        units = [idx[(gi, ())] for gi in rows]
+        return [
+            sum(((targets[lev_rows + 1][gj] >> u) & 1) << i for i, u in enumerate(units))
+            for gj in cols_g
         ]
-        return BitMatrix.from_dense(dense, len(cols_g))
 
     dims: dict[tuple[int, int], int] = {}
     for s in range(max_s + 1):
         for t in range(max_t + 1):
             n = sum(1 for d in gen_degrees[s + 1] if d == t)
-            rank_in = rank(unit_matrix(s, t).data) if s >= 1 else 0
-            rank_out = rank(unit_matrix(s + 1, t).data)
+            rank_in = rank(unit_matrix(s, t)) if s >= 1 else 0
+            rank_out = rank(unit_matrix(s + 1, t))
             dims[(s, t)] = n - rank_in - rank_out
     return dims

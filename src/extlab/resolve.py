@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .f2core import BitMatrix, EchelonAccumulator, combine, image_and_kernel
+from .f2core import EchelonAccumulator, combine, image_and_kernel
 from .gradedmod import FreeIndexer, GradedModule
 
 FORMAT_VERSION = 1
@@ -74,17 +74,6 @@ class ExtChart:
         if 0 <= s <= self.max_s and 0 <= t <= self.max_t:
             return self.dims[s][t]
         return 0
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.dims)
-
-    def nonzero(self) -> list[tuple[int, int, int]]:
-        return [
-            (s, t, d)
-            for s, row in enumerate(self.dims)
-            for t, d in enumerate(row)
-            if d
-        ]
 
     def shift_t(self, a: int) -> "ExtChart":
         """Chart of the suspension: entry (s, t) becomes (s, t + a)."""
@@ -139,9 +128,6 @@ class Resolution:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
         apply_sq = self.module.apply_sq if s == 0 else self.indexers[s - 1].apply_sq
         return self.indexers[s].map_columns(t, self.targets[s], apply_sq, self._cols[s])
-
-    def diff_matrix(self, s: int, t: int) -> BitMatrix:
-        return BitMatrix.from_columns(self.diff_columns(s, t), self.ambient_dim(s, t))
 
     # -- verification ----------------------------------------------------------
 
@@ -223,7 +209,7 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                 res.targets[s].append(r)
                 new_cols.append(r)
             res._cols[s][t] = new_cols
-            candidates = kernel.basis.data
+            candidates = kernel.rows
     return res
 
 

@@ -266,10 +266,6 @@ class ScenarioResult:
     e3: Optional[E3Chart]
 
     @property
-    def chart_k(self) -> ExtChart:
-        return self.res_k.chart()
-
-    @property
     def chart_i(self) -> ExtChart:
         return self.res_i.chart()
 
@@ -391,10 +387,6 @@ class FiltrationDelta:
     stem: int
     filt_big: int
     filt_single: int
-
-    @property
-    def delta(self) -> int:
-        return self.filt_big - self.filt_single
 
 
 def _unique_class_filtration(chart: E3Chart, stem: int) -> int:

@@ -98,9 +98,6 @@ class AlgebraElement:
             raise DegreeError("cannot add elements of different degrees")
         return AlgebraElement(self.degree, self.coords ^ other.coords)
 
-    def is_zero(self) -> bool:
-        return self.coords == 0
-
 
 class AlgebraTable:
     """Basis enumeration and memoized multiplication up to a degree bound.

@@ -241,8 +241,7 @@ def suite_les(report: SuiteReport) -> None:
         beta = compose_boundaries(d_ik, d_ci)
         for s in range(0, beta.max_s + 1):
             for t in range(0, beta.max_t + 1):
-                m = beta.mat(s, t)
-                assert m.shape == (
+                assert beta.shape(s, t) == (
                     res_c.chart().dim(s + 2, t + 1),
                     res_k.chart().shift_t(-1).dim(s, t),
                 ), (s, t)

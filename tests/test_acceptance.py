@@ -144,9 +144,9 @@ def test_criterion_8_filtration_comparison(big_f):
     assert [d.i for d in deltas] == [1, 2, 3, 4, 5, 6, 8]
     for d in deltas:
         if d.i in (1, 2, 4, 8):
-            assert d.delta == 0, d
+            assert d.filt_big == d.filt_single, d
         else:
-            assert d.delta == -1, d
+            assert d.filt_big - d.filt_single == -1, d
     report(8, "projection preserves filtration exactly for i in {1,2,4,8}",
            time.time() - start, 600)
 

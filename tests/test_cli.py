@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import logging
 import os
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from extlab.cli import main
-from extlab.resolve import Resolution
+from extlab.gradedmod import factor_map, sq1_quotient, trivial_module
+from extlab.resolve import Resolution, cache_path, load_resolution, serialize_resolution
+from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 
 
@@ -223,6 +229,29 @@ def test_verify_json_report(capsys, tmp_path):
 
 
 F2_6_14 = ["resolve", "--module", "f2", "--max-s", "6", "--max-t", "14", "--format", "json"]
+F2_3_6 = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json"]
+
+
+def _logged_and_recomputed(argv, tamper, capsys, caplog, cache):
+    """Run argv into an empty cache, rewrite its one file as ``tamper`` of
+    the text (as latin-1 bytes), and run again: the stdout must be the same,
+    and the file logged once and rewritten to the fresh bytes.  Returns the
+    stdout and the warning."""
+    code, fresh_out, _ = run(argv + ["--cache-dir", str(cache)], capsys)
+    assert code == 0
+    (name,) = os.listdir(cache)
+    path = cache / name
+    fresh_file = path.read_bytes()
+    bad = tamper(fresh_file.decode())
+    assert bad != fresh_file.decode()
+    path.write_bytes(bad.encode("latin-1"))
+    code, out, _ = run(argv + ["--cache-dir", str(cache)], capsys)
+    assert code == 0
+    assert out == fresh_out
+    assert path.read_bytes() == fresh_file
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and name in warnings[0]
+    return out, warnings[0]
 
 
 def _tamper_coefficient(text):
@@ -244,49 +273,22 @@ def _add_unit_coefficient(text):
     [(_tamper_coefficient, "d o d != 0"), (_add_unit_coefficient, "unit coefficient")],
 )
 def test_bad_cache_file_is_logged_and_recomputed(tamper, reason, capsys, caplog, tmp_path):
-    code, fresh_out, _ = run(F2_6_14 + ["--cache-dir", str(tmp_path)], capsys)
-    assert code == 0
-    (name,) = os.listdir(tmp_path)
-    path = tmp_path / name
-    fresh_file = path.read_bytes()
-    bad = tamper(fresh_file.decode())
-    assert bad != fresh_file.decode()
-    path.write_text(bad)
-    code, out, _ = run(F2_6_14 + ["--cache-dir", str(tmp_path)], capsys)
-    assert code == 0
-    assert out == fresh_out
-    assert path.read_bytes() == fresh_file
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1
-    assert name in warnings[0] and reason in warnings[0]
+    assert reason in _logged_and_recomputed(F2_6_14, tamper, capsys, caplog, tmp_path)[1]
 
 
 def _duplicate_top_generator(text):
     """Repeat the block of g_{3,1} (degree 6) as a second generator g_{3,2}."""
     head, block = text.removesuffix("end\n").split("gen 3 1 6\n")
     head = head.replace("gens 3 6 1\n", "gens 3 6 2\n")
-    return f"{head}gen 3 1 6\n{block}gen 3 2 6\n{block}end\n"
+    bad = f"{head}gen 3 1 6\n{block}gen 3 2 6\n{block}end\n"
+    assert bad.count("gen 3 2 6\n") == 1 and "gens 3 6 2\n" in bad
+    return bad
 
 
 def test_redundant_generator_in_cache_is_logged_and_recomputed(capsys, caplog, tmp_path):
-    argv = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json",
-            "--cache-dir", str(tmp_path)]
-    code, fresh_out, _ = run(argv, capsys)
-    assert code == 0
-    assert json.loads(fresh_out)["dims"][3][6] == 1
-    (name,) = os.listdir(tmp_path)
-    path = tmp_path / name
-    fresh_file = path.read_bytes()
-    bad = _duplicate_top_generator(fresh_file.decode())
-    assert bad.count("gen 3 2 6\n") == 1 and "gens 3 6 2\n" in bad
-    path.write_text(bad)
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert out == fresh_out
-    assert path.read_bytes() == fresh_file
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1
-    assert name in warnings[0] and "generator 2 at (s=3, t=6) is redundant" in warnings[0]
+    out, warning = _logged_and_recomputed(F2_3_6, _duplicate_top_generator, capsys, caplog, tmp_path)
+    assert json.loads(out)["dims"][3][6] == 1
+    assert "generator 2 at (s=3, t=6) is redundant" in warning
 
 
 def _drop_top_generator(text):
@@ -315,7 +317,7 @@ def _replace_line(after, old, new):
         (_replace_line("gen 0 0 0", "aug 1", "aug 1\naug 1"), "not the canonical serialization"),
         (lambda text: text.replace("gens 3 6 1\n", ""), "not the canonical serialization"),
         (_replace_line("gen 0 0 0", "aug 1", "aug 0x01"), "not the canonical serialization"),
-        # one byte 0xff inside the module line, written as latin-1 below
+        # one byte 0xff inside the module line, written as latin-1
         (lambda text: text[:20] + "\xff" + text[21:], "can't decode byte 0xff in position 20"),
     ],
     ids=["missing-generator", "aug-bit", "d-generator", "d-degree", "d-bit", "d-repeated",
@@ -324,36 +326,12 @@ def _replace_line(after, old, new):
 def test_incomplete_or_out_of_range_cache_is_logged_and_recomputed(
     tamper, reason, capsys, caplog, tmp_path
 ):
-    argv = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json",
-            "--cache-dir", str(tmp_path)]
-    code, fresh_out, _ = run(argv, capsys)
-    assert code == 0
-    (name,) = os.listdir(tmp_path)
-    path = tmp_path / name
-    fresh_file = path.read_bytes()
-    bad = tamper(fresh_file.decode())
-    assert bad != fresh_file.decode()
-    path.write_bytes(bad.encode("latin-1"))
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert out == fresh_out
-    assert path.read_bytes() == fresh_file
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1
-    assert name in warnings[0] and reason in warnings[0]
+    assert reason in _logged_and_recomputed(F2_3_6, tamper, capsys, caplog, tmp_path)[1]
 
 
 def test_header_window_is_refused_before_building(monkeypatch, capsys, caplog, tmp_path):
     """A header that claims max_s 200000 is refused for its window before a
     Resolution of that size is built, then recomputed."""
-    argv = ["resolve", "--module", "f2", "--max-s", "3", "--max-t", "6", "--format", "json",
-            "--cache-dir", str(tmp_path)]
-    code, fresh_out, _ = run(argv, capsys)
-    assert code == 0
-    (name,) = os.listdir(tmp_path)
-    path = tmp_path / name
-    fresh_file = path.read_bytes()
-    path.write_bytes(fresh_file.replace(b"\nmax_s 3\n", b"\nmax_s 200000\n"))
     build = Resolution.__init__
 
     def requested_window_only(self, module, max_s, max_t):
@@ -362,13 +340,10 @@ def test_header_window_is_refused_before_building(monkeypatch, capsys, caplog, t
         build(self, module, max_s, max_t)
 
     monkeypatch.setattr(Resolution, "__init__", requested_window_only)
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert out == fresh_out
-    assert path.read_bytes() == fresh_file
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1
-    assert name in warnings[0] and "window (s=200000, t=6)" in warnings[0]
+    _, warning = _logged_and_recomputed(
+        F2_3_6, lambda text: text.replace("\nmax_s 3\n", "\nmax_s 200000\n"), capsys, caplog, tmp_path
+    )
+    assert "window (s=200000, t=6)" in warning
 
 
 def test_cache_file_of_another_window_is_logged_and_recomputed(capsys, caplog, tmp_path):
@@ -408,3 +383,96 @@ def test_cache_hits_and_misses_are_logged_at_info(capsys, caplog, tmp_path):
     assert sorted(events()) == [f"cache miss {path}; resolving" for path in files]
     assert run(argv, capsys)[0] == 0
     assert sorted(events()) == [f"cache hit {path}" for path in files]
+
+
+
+
+FUZZ_ARGV = {
+    "f2": ["resolve", "--module", "f2", "--max-s", "4", "--max-t", "10"],
+    "a-mod-sq1": ["resolve", "--module", "a-mod-sq1", "--max-s", "4", "--max-t", "10"],
+    "f-kernel": ["scenario", "--kind", "f", "--max-s", "4", "--max-t", "10"],
+}
+# the base of each number field of a cache line, by keyword
+NUMBER_FIELDS = {b"version": (10,), b"module": (16,), b"max_s": (10,), b"max_t": (10,),
+                 b"gens": (10, 10, 10), b"gen": (10, 10, 10), b"aug": (16,), b"d": (10, 10, 16)}
+
+
+@st.composite
+def damaged(draw, data):
+    """One mutation of a cache file: delete, duplicate or swap a line, add
+    +-1 to a decimal field, flip a hex digit, insert a byte at or above
+    0x80, or truncate the file."""
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "decimal", "hex", "byte", "cut"]))
+    if kind == "byte":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    if kind == "cut":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    lines = [line.split(b" ") for line in data.split(b"\n")[:-1]]
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        base = 10 if kind == "decimal" else 16
+        i, k = draw(st.sampled_from([
+            (i, k) for i, fields in enumerate(lines)
+            for k, b in enumerate(NUMBER_FIELDS.get(fields[0], ()), 1) if b == base
+        ]))
+        field = lines[i][k]
+        if base == 10:
+            lines[i][k] = b"%d" % (int(field) + draw(st.sampled_from([-1, 1])))
+        else:
+            at = draw(st.integers(0, len(field) - 1))
+            digit = int(field[at:at + 1], 16) ^ draw(st.integers(1, 15))
+            lines[i][k] = field[:at] + b"%x" % digit + field[at + 1:]
+    return b"".join(b" ".join(fields) + b"\n" for fields in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_fresh(tmp_path_factory):
+    """Per case: the stdout of a --no-cache run, the fresh cache files, and
+    the name and module of the file that is damaged."""
+    alg = AlgebraTable(10)
+    modules = {"f2": trivial_module(alg, 10), "a-mod-sq1": sq1_quotient(alg, 10).codomain,
+               "f-kernel": factor_map(scenario_map(ScenarioSpec("f", 4, 10), alg)).K}
+    fresh = {}
+    for case, argv in FUZZ_ARGV.items():
+        cache = tmp_path_factory.mktemp(case)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--no-cache"]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--cache-dir", str(cache)]) == 0
+        files = {path.name: path.read_bytes() for path in cache.iterdir()}
+        name = os.path.basename(cache_path(str(cache), modules[case], 4, 10))
+        fresh[case] = (out.getvalue(), files, name, modules[case])
+    return fresh
+
+
+@pytest.mark.parametrize("case", FUZZ_ARGV)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_cache_file_is_recomputed_or_certified(case, fuzz_fresh, capsys, caplog, tmp_path, data):
+    """Whatever one mutation does to a cache file, the command prints what a
+    --no-cache run prints, and either logs the file once and rewrites it, or
+    serves it unchanged: then it is the canonical serialization of another
+    minimal resolution, which loads and certifies again."""
+    expected, files, name, module = fuzz_fresh[case]
+    bad = data.draw(damaged(files[name]))
+    for file, content in files.items():
+        (tmp_path / file).write_bytes(bad if file == name else content)
+    caplog.clear()
+    code, out, _ = run(FUZZ_ARGV[case] + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 0 and out == expected
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    if warnings:
+        assert len(warnings) == 1 and name in warnings[0]
+        assert (tmp_path / name).read_bytes() == files[name]
+    else:
+        assert (tmp_path / name).read_bytes() == bad
+        res = load_resolution(str(tmp_path / name), module, 4, 10)
+        assert serialize_resolution(res).encode() == bad

@@ -1,6 +1,6 @@
 import pytest
 
-from extlab.f2core import Subspace
+from extlab.f2core import compose
 from extlab.gradedmod import (
     ExactnessError,
     FreeIndexer,
@@ -14,6 +14,7 @@ from extlab.gradedmod import (
 )
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
+from f2ref import subspace_from_rows
 
 MAX_T = 14
 
@@ -28,9 +29,27 @@ def amod(alg):
     return free_module(alg, [0], MAX_T)
 
 
+def check_adem_relations(mod, amax=None):
+    """For every inadmissible pair (a, b) with a <= amax (default: the whole
+    window), the action of Sq^a Sq^b equals the sum of its admissible
+    rewriting applied as maps, in every degree."""
+    alg = mod.algebra
+    for a in range(1, (amax or mod.max_t) + 1):
+        for b in range((a + 2) // 2, mod.max_t + 1):
+            for t in range(0, mod.max_t - a - b + 1):
+                rhs = [0] * mod.dim(t)
+                for mono in alg.terms(alg.adem_reduce([a, b])):
+                    term = mod.action(mono[-1], t)
+                    if len(mono) == 2:
+                        term = compose(mod.action(mono[0], t + mono[1]), term)
+                    rhs = [x ^ y for x, y in zip(rhs, term)]
+                lhs = compose(mod.action(a, t + b), mod.action(b, t))
+                assert lhs == rhs, f"Adem relation Sq^{a}Sq^{b} fails at degree {t}"
+
+
 def test_free_module_is_the_algebra(alg, amod):
     assert amod.dims == tuple(alg.dim(t) for t in range(MAX_T + 1))
-    amod.check_actions()
+    check_adem_relations(amod)
 
 
 def test_free_module_examples(alg):
@@ -110,7 +129,7 @@ def test_a_mod_sq1_structure(alg):
     for t in range(MAX_T + 1):
         for label in quotient.labels[t]:
             assert label == "1" or not label.endswith("Sq1"), (t, label)
-    quotient.check_actions()
+    check_adem_relations(quotient)
     # [Sq1] = 0 in degree 1
     assert sq1_quotient(alg, MAX_T).apply(1, 1 << alg.index((1,))) == 0
 
@@ -216,8 +235,8 @@ def test_induced_actions_read_through_the_pivots(kind, n):
     fac = factor_map(scenario_map(ScenarioSpec(kind, 2, max_t, n), AlgebraTable(max_t)))
     for incl in (fac.i_K, fac.i_I):
         sub, mid = incl.domain, incl.codomain
-        subs = [Subspace.from_rows(cols, mid.dim(t)) for t, cols in enumerate(incl.columns)]
-        assert [list(s.basis.data) for s in subs] == list(incl.columns)
+        subs = [subspace_from_rows(cols, mid.dim(t)) for t, cols in enumerate(incl.columns)]
+        assert [list(s.rows) for s in subs] == list(incl.columns)
         for k in range(1, max_t + 1):
             for t in range(max_t - k + 1):
                 reference = [
@@ -268,7 +287,7 @@ def test_free_module_on_unsorted_shifts():
     mod = free_module(alg, [4, 2, 0], 14)
     assert mod.digest() == FREE_4_2_0
     assert mod.labels[4] == ("g0[4]*1", "g1[2]*Sq2", "g2[0]*Sq4", "g2[0]*Sq3Sq1")
-    mod.check_actions(sample_only=True)
+    check_adem_relations(mod, amax=4)
     targets = [1 << alg.index((4,)), 1 << alg.index((2,))]
     fac = factor_map(map_from_generators(
         free_module(alg, [4, 2], 14), free_module(alg, [0], 14), targets

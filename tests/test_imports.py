@@ -56,18 +56,17 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-# Top-level names that nothing in the library calls, kept on purpose.
+# Names that nothing in the library calls, kept on purpose.
 REFERENCES = (
-    "column_space",  # the reference that image_and_kernel's image is tested against
     "compare_projection_filtration",  # the paper's filtration comparison, run by the acceptance suite
 )
 
 
-def _referenced_names(node: ast.AST) -> set[str]:
+def _referenced_names(node: ast.AST, attributes_only: bool = False) -> set[str]:
     """Names, attribute names and string-annotation names used under node."""
     used = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             used.add(sub.attr)
@@ -78,20 +77,48 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return used
 
 
-def test_every_top_level_helper_is_used():
-    """Each top-level function and class of the library is referenced
-    somewhere in it outside its own definition."""
+def _units(tree: ast.Module):
+    """(name, owners, nodes) per top-level statement, with each non-dunder
+    method split off from its class: ``name`` is "f", "C" or "C.m" ("" for
+    statements that define nothing), ``owners`` the names whose definitions
+    hold the nodes."""
+    for stmt in tree.body:
+        rest = [stmt]
+        if isinstance(stmt, ast.ClassDef):
+            rest = stmt.bases + stmt.keywords + stmt.decorator_list
+            for member in stmt.body:
+                name = getattr(member, "name", "")
+                if isinstance(member, ast.FunctionDef) and not (name[:2] == name[-2:] == "__"):
+                    yield f"{stmt.name}.{name}", {stmt.name, name}, [member]
+                else:
+                    rest.append(member)
+        name = getattr(stmt, "name", "")
+        yield name, {name}, rest
+
+
+def _unused(methods: bool) -> dict[str, str]:
+    """Top-level functions and classes, or methods, that nothing in the
+    library references outside their own definition.  A method counts as
+    referenced where an attribute of its name is, whatever the object."""
     defined: dict[str, str] = {}
-    uses: list[tuple[str, set[str]]] = []  # (name defined by the statement, names it uses)
+    uses: list[tuple[set[str], set[str]]] = []  # (owners, names the unit uses)
     for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            name = ""
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = stmt.name
+        for name, owners, nodes in _units(ast.parse(path.read_text(), filename=str(path))):
+            if name and ("." in name) == methods:
                 defined[name] = path.name
-            uses.append((name, _referenced_names(stmt)))
-    dead = {
+            uses.append((owners, set().union(*(_referenced_names(n, methods) for n in nodes))))
+    return {
         name: module for name, module in defined.items()
-        if name not in REFERENCES and not any(name in used for owner, used in uses if owner != name)
+        if (short := name.rpartition(".")[2]) not in REFERENCES
+        and not any(short in used for owners, used in uses if short not in owners)
     }
+
+
+def test_every_top_level_helper_is_used():
+    dead = _unused(methods=False)
     assert not dead, f"top-level names nothing in the library uses: {dead}"
+
+
+def test_every_method_is_used():
+    dead = _unused(methods=True)
+    assert not dead, f"methods nothing in the library calls: {dead}"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from extlab.f2core import BitMatrix, compose
+from extlab.f2core import compose
 from extlab.gradedmod import (
     GradedModule,
     ModuleMap,
@@ -20,10 +20,11 @@ from extlab.lescalc import (
     horseshoe_lift,
     les_exactness_report,
 )
-from extlab.resolve import minimal_resolution
+from extlab.resolve import ExtChart, minimal_resolution
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 from extlab.verify import free_chart
+from f2ref import BitMatrix
 
 MAX_S, MAX_T = 6, 14
 
@@ -65,7 +66,7 @@ def test_degenerate_sub_zero(alg):
     bmap = connecting_map(lift)
     for s in range(MAX_S):
         for t in range(MAX_T + 1):
-            assert bmap.mat(s, t).is_zero()
+            assert not any(bmap.columns(s, t))
 
 
 def test_degenerate_quot_zero(alg):
@@ -95,7 +96,7 @@ def test_connecting_map_bidegree(fn_setup):
     d_ik = connecting_map(horseshoe_lift(fac.kernel_sequence(), res_k, res_i))
     for s in range(0, MAX_S):
         for t in range(0, MAX_T + 1):
-            assert d_ik.mat(s, t).shape == (res_i.chart().dim(s + 1, t), res_k.chart().dim(s, t))
+            assert d_ik.shape(s, t) == (res_i.chart().dim(s + 1, t), res_k.chart().dim(s, t))
 
 
 def test_composite_bidegree_and_iso(fn_setup):
@@ -107,7 +108,7 @@ def test_composite_bidegree_and_iso(fn_setup):
     tgt = res_c.chart()
     for s in range(0, beta.max_s + 1):
         for t in range(0, beta.max_t + 1):
-            assert beta.mat(s, t).shape == (tgt.dim(s + 2, t + 1), src.dim(s, t))
+            assert beta.shape(s, t) == (tgt.dim(s + 2, t + 1), src.dim(s, t))
             assert beta.is_iso(s, t), (s, t)
 
 
@@ -124,7 +125,7 @@ def test_zero_factor_gives_zero_composite(fn_setup):
     d_ci = connecting_map(horseshoe_lift(fac.cokernel_sequence(), res_i, res_c))
     d_zero = type(d_ci)(d_ci.source_chart, d_ci.target_chart, d_ci.max_s, d_ci.max_t)
     beta = compose_boundaries(d_ik, d_zero)
-    assert all(beta.mat(s, t).is_zero()
+    assert all(not any(beta.columns(s, t))
                for s in range(beta.max_s + 1) for t in range(beta.max_t + 1))
 
 
@@ -161,6 +162,19 @@ def test_les_detects_inconsistency(fn_setup):
         d_ik, res_k.chart(), free_chart([2, 3], MAX_S, MAX_T), res_i.chart()
     )
     assert not report.ok
+
+
+@pytest.mark.parametrize("side, what", [("sub", "boundary cols"), ("quot", "boundary rows")])
+def test_les_report_fails_a_chart_of_the_wrong_shape(fn_setup, side, what):
+    fac, res_k, res_i, _ = fn_setup
+    d_ik = connecting_map(horseshoe_lift(fac.kernel_sequence(), res_k, res_i))
+    charts = {"sub": res_k.chart(), "quot": res_i.chart()}
+    s, t = 2, 6
+    dims = [list(row) for row in charts[side].dims]
+    dims[s + (side == "quot")][t] += 1  # the quot chart is read at s + 1
+    charts[side] = ExtChart(MAX_S, MAX_T, tuple(map(tuple, dims)))
+    report = les_exactness_report(d_ik, charts["sub"], None, charts["quot"])
+    assert [(c.what, c.s, c.t) for c in report.violations()] == [(what, s, t)]
 
 
 def test_lift_requires_matching_resolutions(fn_setup, alg):
@@ -232,7 +246,7 @@ def test_naturality_under_basis_permutation(alg):
     for s in range(0, max_s):
         for t in range(0, max_t + 1):
             assert d1.rank(s, t) == d2.rank(s, t), (s, t)
-            assert d1.mat(s, t).shape == d2.mat(s, t).shape
+            assert d1.shape(s, t) == d2.shape(s, t)
 
 
 def _horseshoe_by_row_matrices(lift, s, t):
@@ -240,10 +254,10 @@ def _horseshoe_by_row_matrices(lift, s, t):
     rs, rq = lift.res_sub, lift.res_quot
     rows_sub = rs.indexers[s - 1].dim(t)
     tau_m = BitMatrix.from_columns(lift.tau_columns(s, t), rows_sub)
-    dq = rq.diff_matrix(s, t)
+    dq = BitMatrix.from_columns(rq.diff_columns(s, t), rq.ambient_dim(s, t))
     cols = list(rs.diff_columns(s, t))
-    for j in range(rq.indexers[s].dim(t)):
-        cols.append(tau_m.column(j) | (dq.column(j) << rows_sub))
+    for tau_j, dq_j in zip(tau_m.columns(), dq.columns(), strict=True):
+        cols.append(tau_j | (dq_j << rows_sub))
     return BitMatrix.from_columns(cols, rows_sub + rq.indexers[s - 1].dim(t))
 
 
@@ -252,11 +266,12 @@ def _block_check(lift):
     block check that ChainLift.verify leaves to the tau recurrences."""
     ses, rs = lift.ses, lift.res_sub
     for t in range(lift.max_t + 1):
-        incl_aug = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t)) @ rs.diff_matrix(0, t)
+        incl_aug = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t)) @ (
+            BitMatrix.from_columns(rs.diff_columns(0, t), rs.ambient_dim(0, t)))
         prev = BitMatrix.from_columns(incl_aug.columns() + lift.sigma_columns(t), ses.mid.dim(t))
         for s in range(1, lift.max_s + 1):
             cur = _horseshoe_by_row_matrices(lift, s, t)
-            if not (prev @ cur).is_zero():
+            if any((prev @ cur).data):
                 raise AssertionError(f"d^Q o d^Q != 0 at (s={s}, t={t})")
             prev = cur
 

@@ -44,13 +44,12 @@ def res_f2(alg):
 
 def test_resolution_of_free_module(alg):
     res = minimal_resolution(free_module(alg, [0], 10), 4, 10)
-    assert res.chart().nonzero() == [(0, 0, 1)]
+    assert sum(map(sum, res.chart().dims)) == res.chart().dim(0, 0) == 1
 
 
 def test_resolution_of_suspended_free(alg):
     res = minimal_resolution(free_module(alg, [5], 10), 4, 10)
-    assert res.chart().nonzero() == [(0, 5, 1)]
-    assert res.chart().dim(0, 5) == 1
+    assert sum(map(sum, res.chart().dims)) == res.chart().dim(0, 5) == 1
 
 
 def test_ext_f2_frozen_chart(res_f2):
@@ -235,8 +234,6 @@ def test_ext_chart_helpers():
     chart = ExtChart(1, 2, ((1, 0, 0), (0, 1, 0)))
     assert chart.dim(0, 0) == 1
     assert chart.dim(5, 5) == 0
-    assert chart.total() == 2
-    assert chart.nonzero() == [(0, 0, 1), (1, 1, 1)]
 
 
 def test_resolution_of_unsorted_free_module():

@@ -1,6 +1,5 @@
 import pytest
 
-from extlab.f2core import BitMatrix
 from extlab.scenarios import (
     E3Chart,
     ScenarioSpec,
@@ -95,7 +94,7 @@ def test_big_fiber_les_exactness(fbig):
     # first sequence: middle is the sum of suspended frees, Ext = sum of shifted F2's
     shifts = [2 * i for i in range(1, max_t // 2 + 1)]
     rep = les_exactness_report(
-        fbig.d_ik, fbig.chart_k, free_chart(shifts, max_s, max_t), fbig.chart_i
+        fbig.d_ik, fbig.res_k.chart(), free_chart(shifts, max_s, max_t), fbig.chart_i
     )
     assert rep.ok, rep.violations()[:4]
     # second sequence: middle is the integral quotient, Ext = the tower
@@ -147,9 +146,9 @@ def test_negative_control_corrupted_beta(fbig):
 
     beta = fbig.beta
     key = (0, 4)  # kernel expected 0 here; make it 1 by zeroing the matrix
-    original = beta.mat(*key)
-    assert original.shape[1] > 0
-    beta.mats[key] = BitMatrix.zero(*original.shape)
+    original = beta.columns(*key)
+    assert len(original) > 0
+    beta.cols[key] = [0] * len(original)
     try:
         chart, report = assemble_e3(beta, expected_pattern(fbig.spec))
         assert chart is None
@@ -157,7 +156,7 @@ def test_negative_control_corrupted_beta(fbig):
         bad = {(c.s, c.t) for c in report.violations()}
         assert key in bad or (key[0] + 2, key[1] + 1) in bad
     finally:
-        beta.mats[key] = original
+        beta.cols[key] = original
 
 
 def test_negative_control_corrupted_chart(fbig):
@@ -180,9 +179,9 @@ def test_filtration_comparison(fbig):
     assert [d.i for d in deltas] == [1, 2, 3, 4]
     for d in deltas:
         if d.i & (d.i - 1) == 0:
-            assert d.delta == 0, d
+            assert d.filt_big == d.filt_single, d
         else:
-            assert d.delta == -1, d
+            assert d.filt_big - d.filt_single == -1, d
             assert d.filt_single == d.filt_big + 1  # projection raises filtration
 
 

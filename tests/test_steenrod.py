@@ -51,11 +51,11 @@ def test_binom_mod2():
 
 
 def test_adem_examples(alg):
-    assert alg.adem_reduce([1, 1]).is_zero()
+    assert alg.adem_reduce([1, 1]).coords == 0
     assert alg.adem_reduce([2, 2]) == alg.monomial((3, 1))
     assert alg.adem_reduce([5]) == alg.sq(5)
     assert alg.adem_reduce([2, 3]) == alg.sq(5) + alg.monomial((4, 1))
-    assert alg.adem_reduce([3, 2]).is_zero()
+    assert alg.adem_reduce([3, 2]).coords == 0
     assert alg.adem_reduce([]) == alg.unit
 
 
@@ -96,7 +96,7 @@ def test_heads_match_slicing(alg):
 def test_multiply_examples(alg):
     assert alg.multiply(alg.unit, alg.sq(7)) == alg.sq(7)
     assert alg.multiply(alg.sq(1), alg.sq(2)) == alg.sq(3)
-    assert alg.multiply(alg.sq(1), alg.sq(1)).is_zero()
+    assert alg.multiply(alg.sq(1), alg.sq(1)).coords == 0
 
 
 def test_multiply_degree_overflow(alg):
