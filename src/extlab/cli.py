@@ -21,11 +21,9 @@ from typing import Optional
 from . import render
 from .gradedmod import free_module, sq1_quotient, trivial_module
 from .resolve import cached_resolution
-from .scenarios import ScenarioSpec, build_scenario, expected_e3, verify_scenario
+from .scenarios import KINDS, ScenarioSpec, build_scenario, expected_e3, verify_scenario
 from .steenrod import AlgebraTable, milnor_basis_dims
 from .verify import SUITES, run_suites
-
-MODULE_SELECTORS = ("f2", "a", "a-mod-sq1")
 
 # Largest window accepted: (max_s + 1) x admissible monomials of degree
 # <= max_t, one free generator per filtration; (24, 64) has 131k cells.
@@ -56,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.set_defaults(run=cmd_resolve, parser=p_res)
 
     p_sc = sub.add_parser("scenario", help="reconstruct and verify a collapsed page")
-    p_sc.add_argument("--kind", required=True, choices=("fn", "fnz", "f", "f-conj"))
+    p_sc.add_argument("--kind", required=True, choices=KINDS)
     p_sc.add_argument("--n", type=int, default=None, help="the square (required for fn/fnz)")
     bounds(p_sc)
     p_sc.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
@@ -133,10 +131,6 @@ def cmd_resolve(args, parser) -> int:
 
 
 def cmd_scenario(args, parser) -> int:
-    if args.kind in ("fn", "fnz") and args.n is None:
-        parser.error(f"--kind {args.kind} requires --n")
-    if args.kind in ("f", "f-conj") and args.n is not None:
-        parser.error(f"--kind {args.kind} does not take --n")
     _check_window(parser, args.max_s, args.max_t)
     try:
         spec = ScenarioSpec(args.kind, args.max_s, args.max_t, n=args.n)

@@ -1,10 +1,10 @@
 """Degreewise-finite graded left modules over the Steenrod algebra.
 
-A module is stored as dimensions per degree plus one action per (Sq^k,
-source degree); a map is one linear map per degree.  Both are held in the
-library's one matrix form, the column list of :mod:`extlab.f2core` (entry j
-is the image of basis vector j), applied with
-:func:`~extlab.f2core.combine` and composed with
+A module is its dimensions per degree plus one action per (Sq^k, source
+degree), and nothing else: its basis vectors carry no names.  A map is one
+linear map per degree.  Both are held in the library's one matrix form, the
+column list of :mod:`extlab.f2core` (entry j is the image of basis vector
+j), applied with :func:`~extlab.f2core.combine` and composed with
 :func:`~extlab.f2core.compose`; :meth:`GradedModule.digest` hashes their
 rows, from :func:`~extlab.f2core.transpose`.  Free modules, and every P_s
 of a resolution, keep their basis order in a :class:`FreeIndexer`:
@@ -21,8 +21,10 @@ quotient, each by transport of the action.  :func:`factor_map` cuts a map
 into kernel, image and cokernel through these two builders, and
 :func:`sq1_quotient` builds A//A(0) as a coordinate quotient of A.  A
 submodule's action is read at the pivots of its reduced rows, with no
-membership test; the linearity checks of :func:`factor_map` over the
-generating squares reject subspaces that some Sq^k leaves.
+membership test.  :func:`factor_map` checks linearity over the generating
+squares on its two projections only: their kernels are the kernel and the
+image, so those checks reject any subspace that some Sq^k leaves, and the
+two inclusions are then linear too.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .f2core import (
     rank as f2rank,
     transpose,
 )
-from .steenrod import AlgebraElement, AlgebraTable, Monomial
+from .steenrod import AlgebraElement, AlgebraTable
 
 
 class ExactnessError(RuntimeError):
@@ -55,12 +57,11 @@ class GradedModule:
 
     ``actions[(k, t)]`` is the column list of Sq^k from degree t to degree
     t+k; missing keys mean the zero map.  The module keeps the lists it is
-    given, which nobody may change afterwards.  ``labels[t]`` are display
-    names for the degree-t basis.  ``free_basis`` is set for free modules:
-    the :class:`FreeIndexer` that orders their basis.
+    given, which nobody may change afterwards.  ``free_basis`` is set for
+    free modules: the :class:`FreeIndexer` that orders their basis.
     """
 
-    __slots__ = ("algebra", "max_t", "dims", "labels", "free_basis", "_actions", "_digest")
+    __slots__ = ("algebra", "max_t", "dims", "free_basis", "_actions", "_digest")
 
     def __init__(
         self,
@@ -68,7 +69,6 @@ class GradedModule:
         max_t: int,
         dims: Sequence[int],
         actions: dict[tuple[int, int], list[int]],
-        labels: Optional[Sequence[Sequence[str]]] = None,
         free_basis: Optional[FreeIndexer] = None,
     ):
         if max_t < 0:
@@ -86,9 +86,6 @@ class GradedModule:
             if any(c >> self.dims[t + k] for c in cols):
                 raise ValueError(f"action ({k},{t}) has a bit beyond degree {t + k}")
         self._actions = {key: cols for key, cols in actions.items() if any(cols)}
-        if labels is None:
-            labels = [tuple(f"e{t}_{i}" for i in range(self.dims[t])) for t in range(max_t + 1)]
-        self.labels = tuple(tuple(l) for l in labels)
         self.free_basis = free_basis
         self._digest: Optional[str] = None
 
@@ -111,7 +108,7 @@ class GradedModule:
         return 0 if cols is None else combine(cols, vec)
 
     def digest(self) -> str:
-        """Content hash of (max_t, dims, actions); labels are presentation only."""
+        """Content hash of (max_t, dims, actions)."""
         if self._digest is None:
             h = hashlib.sha256()
             h.update(b"EXTMOD1")
@@ -169,8 +166,7 @@ class ModuleMap:
 def trivial_module(algebra: AlgebraTable, max_t: int, shift: int = 0) -> GradedModule:
     """The module F2 concentrated in one degree, with zero action."""
     dims = [1 if t == shift else 0 for t in range(max_t + 1)]
-    labels = [("1",) if t == shift else () for t in range(max_t + 1)]
-    return GradedModule(algebra, max_t, dims, {}, labels)
+    return GradedModule(algebra, max_t, dims, {})
 
 
 class FreeIndexer:
@@ -266,12 +262,6 @@ class FreeIndexer:
             memo[t] = cols
         return cols
 
-    def basis(self, t: int) -> list[tuple[int, Monomial]]:
-        out = []
-        for g, d, _ in self.blocks(t):
-            out.extend((g, m) for m in self.algebra.basis(t - d))
-        return out
-
     def action_columns(self, k: int, t: int) -> list[int]:
         """Columns of Sq^k from degree t to degree t + k."""
         sq_columns = self.algebra.sq_columns
@@ -314,20 +304,13 @@ def free_module(algebra: AlgebraTable, shifts: Sequence[int], max_t: int) -> Gra
     if any(s < 0 for s in shifts):
         raise ValueError("shifts must be non-negative")
     basis = FreeIndexer(algebra, shifts)
-    labels = []
-    for t in range(max_t + 1):
-        names = []
-        for g, mono in basis.basis(t):
-            word = "".join(f"Sq{e}" for e in mono) or "1"
-            names.append(f"g{g}[{shifts[g]}]*{word}" if len(shifts) > 1 else word)
-        labels.append(tuple(names))
     actions = {
         (k, t): basis.action_columns(k, t)
         for k in range(1, max_t + 1)
         for t in range(0, max_t - k + 1)
     }
     dims = [basis.dim(t) for t in range(max_t + 1)]
-    return GradedModule(algebra, max_t, dims, actions, labels, free_basis=basis)
+    return GradedModule(algebra, max_t, dims, actions, free_basis=basis)
 
 
 def map_from_generators(
@@ -409,10 +392,11 @@ def inclusion_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
     Precondition: the subspaces are closed under every Sq^k of ``mid``.  A
     vector of a reduced-echelon subspace has its coordinates at the pivots,
     so the induced Sq^k is read through the selection columns ``sel[p_i] =
-    e_i``, with no membership test.  Where some Sq^(2^i) leaves the
-    subspaces, that read is wrong and the inclusion fails ``check_linearity``
-    over the generating squares; closure under those gives closure under
-    every Sq^k in the window, as each Sq^k is a sum of products of them.
+    e_i``, with no membership test.  Under the precondition that read is
+    exact and the inclusion is linear.  Closure under the generating squares
+    gives closure under every Sq^k in the window, as each Sq^k is a sum of
+    products of them; the caller checks it, as :func:`factor_map` does
+    through the projection whose kernel the subspaces are.
     """
     bound = len(subs) - 1
     sels = []
@@ -434,8 +418,9 @@ def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
     """Projection of ``mid`` onto its quotient by the submodule whose
     degree-t part is ``subs[t]``, on the window 0..len(subs) - 1.
 
-    The quotient's basis is the canonical complement of ``quotient_section``,
-    labeled as in ``mid``.  Callers check that the subspaces are a submodule.
+    The quotient's basis is the canonical complement of ``quotient_section``:
+    the basis vectors of ``mid`` at no pivot, in order.  Callers check that
+    the subspaces are a submodule.
     """
     bound = len(subs) - 1
     projs, frees = zip(*(quotient_section(mid.dim(t), subs[t]) for t in range(bound + 1)))
@@ -444,15 +429,20 @@ def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
         for t in range(0, bound - k + 1):
             act = mid.action(k, t)
             actions[(k, t)] = [combine(projs[t + k], act[j]) for j in frees[t]]
-    quot = GradedModule(
-        mid.algebra, bound, [len(free) for free in frees], actions,
-        labels=[tuple(mid.labels[t][j] for j in frees[t]) for t in range(bound + 1)],
-    )
+    quot = GradedModule(mid.algebra, bound, [len(free) for free in frees], actions)
     return ModuleMap(mid, quot, projs)
 
 
 def factor_map(f: ModuleMap) -> FactoredMap:
-    """Degreewise kernel, image and cokernel of f, with induced actions."""
+    """Degreewise kernel, image and cokernel of f, with induced actions.
+
+    Both short exact sequences are checked degree by degree, and the two
+    projections p_I and p_C for linearity over the generating squares.  That
+    certifies the inclusions as well: ker p_I = K and ker p_C = I, so a
+    linear projection makes its kernel closed under each Sq^(2^i), hence a
+    submodule, on which :func:`inclusion_map`'s pivot read is exact and i_K
+    and i_I are linear.
+    """
     dom, cod = f.domain, f.codomain
     bound = f.max_t
     kers, imgs = [], []
@@ -471,7 +461,7 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     fac = FactoredMap(f, i_K.domain, i_I.domain, p_C.codomain, i_K, p_I, i_I, p_C)
     fac.kernel_sequence().check_exact()
     fac.cokernel_sequence().check_exact()
-    for mp in (i_K, p_I, i_I, p_C):
+    for mp in (p_I, p_C):
         mp.check_linearity(ks=_generating_squares(bound))
     return fac
 

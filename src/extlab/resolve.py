@@ -47,19 +47,7 @@ logger = logging.getLogger(__name__)
 
 
 class CacheError(ValueError):
-    """Base for resolution cache file problems."""
-
-
-class CorruptFileError(CacheError):
-    pass
-
-
-class VersionMismatchError(CacheError):
-    pass
-
-
-class HashMismatchError(CacheError):
-    pass
+    """A resolution cache file that cannot be served; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -281,14 +269,14 @@ def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> 
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise CorruptFileError(f"cannot read {path}: {exc}") from exc
+        raise CacheError(f"cannot read {path}: {exc}") from exc
     try:
         text = data.decode("ascii")
         lines = text.splitlines()
         if not lines or lines[0] != MAGIC:
-            raise CorruptFileError("missing EXTLAB1 magic")
+            raise CacheError("missing EXTLAB1 magic")
         if not text.endswith("end\n"):
-            raise CorruptFileError("truncated file: missing end marker")
+            raise CacheError("truncated file: missing end marker")
         header: dict[str, str] = {}
         idx = 1
         while lines[idx] != "end_header":  # the gens table is checked as text, below
@@ -297,11 +285,9 @@ def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> 
             idx += 1
         version = int(header["version"])
         if version != FORMAT_VERSION:
-            raise VersionMismatchError(
-                f"cache format {version}, expected {FORMAT_VERSION}"
-            )
+            raise CacheError(f"cache format {version}, expected {FORMAT_VERSION}")
         if header["module"] != module.digest():
-            raise HashMismatchError(
+            raise CacheError(
                 "cache was built from a different module "
                 f"({header['module'][:12]}.. != {module.digest()[:12]}..)"
             )
@@ -321,9 +307,9 @@ def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> 
             if parts[0] == "gen":
                 s, g, t = int(parts[1]), int(parts[2]), int(parts[3])
                 if not (0 <= s <= max_s and 0 <= t <= max_t):
-                    raise CorruptFileError(f"generator {g} at (s={s}, t={t}) outside the window")
+                    raise CacheError(f"generator {g} at (s={s}, t={t}) outside the window")
                 if res.indexers[s].add_generator(t) != g:
-                    raise CorruptFileError("generator indices out of order")
+                    raise CacheError("generator indices out of order")
                 res.targets[s].append(0)
                 cur = (s, g, t)
                 last_j = -1  # d lines name strictly increasing generators
@@ -331,7 +317,7 @@ def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> 
                 s, g, t = cur
                 vec = int(parts[1], 16)
                 if s != 0 or vec >> module.dim(t):
-                    raise CorruptFileError(f"aug line of g_{s},{g} out of range")
+                    raise CacheError(f"aug line of g_{s},{g} out of range")
                 res.targets[0][g] = vec
             elif parts[0] == "d":
                 s, g, t = cur
@@ -341,21 +327,21 @@ def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> 
                     last_j < j < len(below) and deg == t - below[j] >= 0
                     and not coords >> res.algebra.dim(deg)
                 ):
-                    raise CorruptFileError(f"d line of g_{s},{g} out of range: {line!r}")
+                    raise CacheError(f"d line of g_{s},{g} out of range: {line!r}")
                 # appending a generator never moves an earlier one's offset
                 res.targets[s][g] |= coords << res.indexers[s - 1].offset(j, t)
                 last_j = j
             else:
-                raise CorruptFileError(f"unexpected line {line!r}")
+                raise CacheError(f"unexpected line {line!r}")
         res.verify()
         if serialize_resolution(res) != text:
-            raise CorruptFileError("not the canonical serialization of the resolution it holds")
+            raise CacheError("not the canonical serialization of the resolution it holds")
     except CacheError:
         raise
     except AssertionError as exc:
-        raise CorruptFileError(f"invariant fails: {exc}") from exc
+        raise CacheError(f"invariant fails: {exc}") from exc
     except (KeyError, ValueError, IndexError, TypeError) as exc:
-        raise CorruptFileError(f"malformed cache file: {exc}") from exc
+        raise CacheError(f"malformed cache file: {exc}") from exc
     return res
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .gradedmod import free_module, sq1_quotient, trivial_module
 from .lescalc import compose_boundaries, connecting_map, horseshoe_lift, les_exactness_report
-from .oracle import oracle_ext_dims
 from .resolve import (
     ExtChart,
     load_resolution,
@@ -142,6 +141,8 @@ def suite_steenrod(report: SuiteReport) -> None:
 
 
 def suite_resolution(report: SuiteReport) -> None:
+    from .oracle import oracle_ext_dims  # loaded here only, so resolve and scenario skip it
+
     alg = AlgebraTable(24)
     f2 = trivial_module(alg, 20)
     res_f2 = minimal_resolution(f2, 8, 20)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from extlab.cli import main
-from extlab.gradedmod import factor_map, sq1_quotient, trivial_module
+from extlab.gradedmod import factor_map, free_module, sq1_quotient, trivial_module
 from extlab.resolve import Resolution, cache_path, load_resolution, serialize_resolution
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
@@ -140,6 +140,7 @@ def test_scenario_missing_n_exits_2():
     (["resolve", "--module", "f2", "--max-s", "1000000000", "--max-t", "46"], "resolve"),
     (["resolve", "--module", "bogus", "--max-s", "2", "--max-t", "4"], "resolve"),
     (["scenario", "--kind", "fn"], "scenario"),
+    (["scenario", "--kind", "f", "--n", "3"], "scenario"),
 ])
 def test_usage_errors_print_the_command_usage(argv, command, capsys):
     with pytest.raises(SystemExit) as info:
@@ -390,6 +391,7 @@ def test_cache_hits_and_misses_are_logged_at_info(capsys, caplog, tmp_path):
 FUZZ_ARGV = {
     "f2": ["resolve", "--module", "f2", "--max-s", "4", "--max-t", "10"],
     "a-mod-sq1": ["resolve", "--module", "a-mod-sq1", "--max-s", "4", "--max-t", "10"],
+    "free:0,2": ["resolve", "--module", "free:0,2", "--max-s", "4", "--max-t", "10"],
     "f-kernel": ["scenario", "--kind", "f", "--max-s", "4", "--max-t", "10"],
 }
 # the base of each number field of a cache line, by keyword
@@ -438,6 +440,7 @@ def fuzz_fresh(tmp_path_factory):
     the name and module of the file that is damaged."""
     alg = AlgebraTable(10)
     modules = {"f2": trivial_module(alg, 10), "a-mod-sq1": sq1_quotient(alg, 10).codomain,
+               "free:0,2": free_module(alg, [0, 2], 10),
                "f-kernel": factor_map(scenario_map(ScenarioSpec("f", 4, 10), alg)).K}
     fresh = {}
     for case, argv in FUZZ_ARGV.items():

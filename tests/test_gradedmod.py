@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extlab.f2core import compose
+from extlab.f2core import compose, image_and_kernel
 from extlab.gradedmod import (
     ExactnessError,
     FreeIndexer,
@@ -8,7 +10,9 @@ from extlab.gradedmod import (
     ModuleMap,
     factor_map,
     free_module,
+    inclusion_map,
     map_from_generators,
+    quotient_map,
     sq1_quotient,
     trivial_module,
 )
@@ -88,8 +92,9 @@ def test_map_into_quotient(alg):
     g = map_from_generators(dom, quotient, [cls_sq2])
     g.check_linearity()
     image = g.apply(3, 1)
-    idx_sq3 = list(quotient.labels[3]).index("Sq3")
-    assert image == 1 << idx_sq3
+    # the quotient basis: admissible monomials not ending in Sq1, in algebra order
+    kept = [m for m in alg.basis(3) if not m or m[-1] != 1]
+    assert image == 1 << kept.index((3,))
 
 
 def test_factor_identity(alg, amod):
@@ -120,15 +125,19 @@ def test_factor_right_mul_sq1(alg):
 
 
 def test_a_mod_sq1_structure(alg):
-    quotient = sq1_quotient(alg, MAX_T).codomain
+    p = sq1_quotient(alg, MAX_T)
+    quotient = p.codomain
     assert quotient.dims[:5] == (1, 0, 1, 1, 1)
     # freeness over the Sq1-exterior subalgebra, as a computed identity
     for t in range(1, MAX_T + 1):
         assert alg.dim(t) == quotient.dims[t] + quotient.dims[t - 1]
-    # canonical complement basis = admissible monomials not ending in Sq1
+    # canonical complement basis = admissible monomials not ending in Sq1:
+    # the projection sends them to e_0, e_1, ... in order and the rest to 0
     for t in range(MAX_T + 1):
-        for label in quotient.labels[t]:
-            assert label == "1" or not label.endswith("Sq1"), (t, label)
+        kept = [i for i, m in enumerate(alg.basis(t)) if not m or m[-1] != 1]
+        assert p.columns[t] == [
+            1 << kept.index(i) if i in kept else 0 for i in range(alg.dim(t))
+        ], t
     check_adem_relations(quotient)
     # [Sq1] = 0 in degree 1
     assert sq1_quotient(alg, MAX_T).apply(1, 1 << alg.index((1,))) == 0
@@ -151,12 +160,11 @@ def test_big_map_cokernel_is_f2(alg):
 @pytest.mark.parametrize("max_t", [14, 26, 40])
 def test_sq1_quotient_matches_the_factored_cokernel(max_t):
     """The coordinate quotient equals the cokernel of right multiplication
-    by Sq^1, as factor_map builds it: same digest, labels and projection."""
+    by Sq^1, as factor_map builds it: same digest and projection."""
     alg = AlgebraTable(max_t)
     p = sq1_quotient(alg, max_t)
     fac = factor_map(_right_mul_sq1(alg, max_t))
     assert p.codomain.digest() == fac.C.digest()
-    assert p.codomain.labels == fac.C.labels
     assert p.columns == fac.p_C.columns
 
 
@@ -203,9 +211,9 @@ def test_module_map_constructor_checks_columns(alg):
         ModuleMap(one, one, ([0b10], [], []))
 
 
-def test_module_digest_ignores_labels(alg):
+def test_module_digest_is_its_content(alg):
     m1 = trivial_module(alg, 6)
-    m2 = GradedModule(alg, 6, m1.dims, {}, labels=[("x",) if t == 0 else () for t in range(7)])
+    m2 = GradedModule(alg, 6, m1.dims, {})
     assert m1.digest() == m2.digest()
     m3 = trivial_module(alg, 6, shift=1)
     assert m1.digest() != m3.digest()
@@ -250,10 +258,78 @@ def test_induced_actions_read_through_the_pivots(kind, n):
 def test_image_that_is_no_submodule_is_rejected(alg, amod):
     """F2 -> A sending 1 to the unit is not A-linear, and its image, the
     unit alone, is no submodule.  The pivot read drops Sq^1 of the unit,
-    and factor_map rejects the map by the linearity of i_I and p_C."""
+    and factor_map rejects the map by the linearity of p_C, whose kernel
+    the image is."""
     unit = ModuleMap(trivial_module(alg, MAX_T), amod, ([1],) + ([],) * MAX_T)
     with pytest.raises(ExactnessError, match="not linear over Sq\\^1 at degree 0"):
         factor_map(unit)
+
+
+def test_kernel_that_is_no_submodule_is_rejected(alg):
+    """The identity of A except zero in degree 0: its image A_{>0} is a
+    submodule, its kernel A_0 is not, so only the kernel side can reject
+    it, by the linearity of p_I, whose kernel K is."""
+    amod = free_module(alg, [0], 8)
+    columns = [[1 << i for i in range(d)] for d in amod.dims]
+    columns[0] = [0]
+    with pytest.raises(ExactnessError, match="not linear over Sq\\^1 at degree 0"):
+        factor_map(ModuleMap(amod, amod, tuple(columns)))
+
+
+def _four_maps(f):
+    """i_K, p_I, i_I and p_C of f, built apart from factor_map."""
+    kers, imgs = [], []
+    for t in range(f.max_t + 1):
+        image, kernel = image_and_kernel(f.columns[t], f.codomain.dim(t))
+        kers.append(kernel)
+        imgs.append(image.subspace())
+    i_K, i_I = inclusion_map(f.domain, kers), inclusion_map(f.codomain, imgs)
+    p_I = ModuleMap(f.domain, i_I.domain, tuple(
+        [imgs[t].coordinates(c) for c in cols] for t, cols in enumerate(f.columns)
+    ))
+    return i_K, p_I, i_I, quotient_map(f.codomain, imgs)
+
+
+def _fails_linearity(mp):
+    try:
+        mp.check_linearity(ks=[1, 2, 4, 8])  # the generating squares up to T = 10
+    except ExactnessError:
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def linear_maps_at_10(alg):
+    return [
+        _right_mul_sq1(alg, 10),
+        scenario_map(ScenarioSpec("f", 2, 10), AlgebraTable(10)),
+    ]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_projections_reject_what_any_of_the_four_maps_rejects(linear_maps_at_10, data):
+    """One bit flipped in one column of a linear map: factor_map, which
+    checks p_I and p_C, raises exactly when one of i_K, p_I, i_I and p_C
+    fails linearity over the generating squares, and exactly when the
+    flipped map itself does."""
+    f = data.draw(st.sampled_from(linear_maps_at_10))
+    t = data.draw(st.sampled_from([
+        t for t in range(11) if f.domain.dim(t) and f.codomain.dim(t)
+    ]))
+    j = data.draw(st.integers(0, f.domain.dim(t) - 1))
+    bit = data.draw(st.integers(0, f.codomain.dim(t) - 1))
+    columns = [list(cols) for cols in f.columns]
+    columns[t][j] ^= 1 << bit
+    flipped = ModuleMap(f.domain, f.codomain, tuple(columns))
+    any_fails = any(_fails_linearity(mp) for mp in _four_maps(flipped))
+    assert any_fails == _fails_linearity(flipped)
+    try:
+        factor_map(flipped)
+    except ExactnessError:
+        assert any_fails
+    else:
+        assert not any_fails
 
 
 def test_free_indexer_with_unsorted_generators(alg):
@@ -286,7 +362,8 @@ def test_free_module_on_unsorted_shifts():
     alg = AlgebraTable(14)
     mod = free_module(alg, [4, 2, 0], 14)
     assert mod.digest() == FREE_4_2_0
-    assert mod.labels[4] == ("g0[4]*1", "g1[2]*Sq2", "g2[0]*Sq4", "g2[0]*Sq3Sq1")
+    basis = [(g, m) for g, d, _ in mod.free_basis.blocks(4) for m in alg.basis(4 - d)]
+    assert basis == [(0, ()), (1, (2,)), (2, (4,)), (2, (3, 1))]
     check_adem_relations(mod, amax=4)
     targets = [1 << alg.index((4,)), 1 << alg.index((2,))]
     fac = factor_map(map_from_generators(

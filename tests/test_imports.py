@@ -1,6 +1,11 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, every
+top-level name and method is referenced, and the CLI loads no more than
+it runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,9 +84,9 @@ def _referenced_names(node: ast.AST, attributes_only: bool = False) -> set[str]:
 
 def _units(tree: ast.Module):
     """(name, owners, nodes) per top-level statement, with each non-dunder
-    method split off from its class: ``name`` is "f", "C" or "C.m" ("" for
-    statements that define nothing), ``owners`` the names whose definitions
-    hold the nodes."""
+    method split off from its class: ``name`` is "f", "C", "C.m" or the
+    non-dunder name a module-level assignment binds ("" for statements that
+    define nothing), ``owners`` the names whose definitions hold the nodes."""
     for stmt in tree.body:
         rest = [stmt]
         if isinstance(stmt, ast.ClassDef):
@@ -93,13 +98,19 @@ def _units(tree: ast.Module):
                 else:
                     rest.append(member)
         name = getattr(stmt, "name", "")
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if len(names) == 1 and not (names[0][:2] == names[0][-2:] == "__"):
+                name = names[0]
         yield name, {name}, rest
 
 
 def _unused(methods: bool) -> dict[str, str]:
-    """Top-level functions and classes, or methods, that nothing in the
-    library references outside their own definition.  A method counts as
-    referenced where an attribute of its name is, whatever the object."""
+    """Top-level functions, classes and assigned names, or methods, that
+    nothing in the library references outside their own definition.  A
+    method counts as referenced where an attribute of its name is, whatever
+    the object."""
     defined: dict[str, str] = {}
     uses: list[tuple[set[str], set[str]]] = []  # (owners, names the unit uses)
     for path in sorted(SRC.glob("*.py")):
@@ -122,3 +133,14 @@ def test_every_top_level_helper_is_used():
 def test_every_method_is_used():
     dead = _unused(methods=True)
     assert not dead, f"methods nothing in the library calls: {dead}"
+
+
+def test_the_cli_does_not_load_the_oracle():
+    """Only ``extlab verify`` uses the dense oracle, so ``resolve`` and
+    ``scenario`` do not pay for importing it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, extlab.cli; print('extlab.oracle' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
