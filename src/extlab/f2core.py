@@ -11,12 +11,12 @@ Conventions, fixed repo-wide:
   in O(popcount v) XORs, :func:`compose` multiplies two, and :func:`rank`
   takes the columns as they are.  Module digests hash the rows
   :func:`transpose` gives.
-* The one elimination is :class:`EchelonAccumulator`.  On a column list,
-  :func:`image_and_kernel` gives the image span and the canonical kernel
-  in one pass, and :class:`Solver` the canonical solutions;
-  :meth:`EchelonAccumulator.subspace` reduces a span by back-substitution.
-  The row-form Gauss-Jordan they are tested against lives in
-  ``tests/f2ref.py``.
+* The one elimination is :class:`EchelonAccumulator`, keyed by highest
+  bit; on the graph vectors ``(c_j << n) | 1 << j`` of a column list it
+  gives the image and a kernel basis (:func:`image_and_kernel`) and the
+  canonical solutions (:class:`Solver`).  :func:`reduced`, keyed by lowest
+  bit and back-substituted, is the one reduced-echelon routine.  The row-form
+  Gauss-Jordan they are tested against lives in ``tests/f2ref.py``.
 * All outputs are canonical: a :class:`Subspace` holds the unique reduced
   row-echelon basis of its span, ``Solver.solve`` returns the unique
   solution supported on pivot columns, and quotient complements are
@@ -131,28 +131,22 @@ def rank(vectors: Iterable[int]) -> int:
 class Solver:
     """Reusable solver for many right-hand sides against a fixed matrix.
 
-    The matrix comes as a column list with its row count.  Column j enters
-    an :class:`EchelonAccumulator` as the graph vector ``(c_j << n) | 1 <<
-    j``; ``solve(b)`` reduces ``b << n``.  A remainder with a nonzero high
-    part means b is outside the image.  Otherwise the remainder is x with
-    m @ x = b and no bit at a leading position below n.  Those leads are the
-    highest coordinates of kernel vectors, which are exactly rref's non-pivot
-    columns, so x is the answer of full Gauss-Jordan with every free variable
-    set to zero, bit for bit: the reference ``solve`` of ``tests/f2ref.py``.
+    The matrix comes as a column list with its row count, whose graph
+    (:func:`_graph`) is eliminated; ``solve(b)`` reduces ``b << n``.  A
+    remainder with a nonzero high part means b is outside the image.
+    Otherwise the remainder is x with m @ x = b and no bit at a leading
+    position below n.  Those leads are the highest coordinates of kernel
+    vectors, which are exactly rref's non-pivot columns, so x is the answer
+    of full Gauss-Jordan with every free variable set to zero, bit for bit:
+    the reference ``solve`` of ``tests/f2ref.py``.
     """
 
     __slots__ = ("rows", "_shift", "_graph")
 
     def __init__(self, columns: Sequence[int], rows: int):
-        n = len(columns)
-        graph = EchelonAccumulator(rows + n)
-        for j, c in enumerate(columns):
-            if c >> rows:
-                raise F2Error("column has bits set beyond row count")
-            graph.add((c << n) | (1 << j))
         self.rows = rows
-        self._shift = n
-        self._graph = graph
+        self._shift = len(columns)
+        self._graph = _graph(columns, rows)
 
     def solve(self, b: int) -> Optional[int]:
         if b >> self.rows:
@@ -234,72 +228,69 @@ class EchelonAccumulator:
         return self.reduce(v) == 0
 
     def subspace(self) -> Subspace:
-        """The span in reduced echelon form, the same rows and pivots as full
-        Gauss-Jordan (``subspace_from_rows`` of ``tests/f2ref.py``): the rows
-        enter a second accumulator bit-reversed, so that each leads at its
-        lowest coordinate, and back-substitution reduces them
-        (:func:`_reversed_rref`)."""
-        n = self.ambient_dim
-        rev = EchelonAccumulator(n)
-        for r in self._rows.values():
-            rev.add(_reverse(r, n))
-        return _reversed_rref(rev._rows, rev._lead, n)
+        """The span in reduced echelon form (:func:`reduced`)."""
+        return reduced(self._rows.values(), self.ambient_dim)
 
 
-def _reverse(v: int, n: int) -> int:
-    """v with coordinate j moved to n - 1 - j."""
-    return int(format(v, f"0{n}b")[::-1], 2)
+def reduced(vectors: Iterable[int], n: int) -> Subspace:
+    """The span of ``vectors`` in F2^n in reduced echelon form: the rows and
+    pivots of full Gauss-Jordan (``subspace_from_rows`` of ``tests/f2ref.py``).
 
-
-def _reversed_rref(rows: dict[int, int], lead: int, n: int) -> Subspace:
-    """The subspace of F2^n spanned by the bit reversals of ``rows``, a
-    semi-echelon basis keyed by leading bit (their mask is ``lead``), in
-    reduced echelon form.
-
-    Back-substitution clears each row's bits at the other leads, rows led
-    lower first: those are already reduced, so XORing one adds no lead bit.
-    A row led by p then has its pivot at coordinate n - 1 - p, its lowest.
+    Elimination keys each row by its lowest bit, its pivot: a row has no bit
+    below it, so clearing v's pivot bits from the bottom up leaves them clear.
+    Back-substitution, higher pivots first, then clears each row's other
+    pivot bits with rows that hold no pivot bit but their own.
     """
-    leads = sorted(rows)
-    reduced: dict[int, int] = {}
-    for p in leads:
+    rows: dict[int, int] = {}
+    lead = 0
+    for v in vectors:
+        hit = v & lead
+        while hit:
+            v ^= rows[(hit & -hit).bit_length() - 1]
+            hit = v & lead
+        if v:
+            low = v & -v
+            rows[low.bit_length() - 1] = v
+            lead |= low
+    pivots = sorted(rows)
+    for p in reversed(pivots):
         r = rows[p]
-        hit = r & lead & ~(1 << p)
+        hit = (r & lead) ^ (1 << p)
         while hit:
             low = hit & -hit
-            r ^= reduced[low.bit_length() - 1]
+            r ^= rows[low.bit_length() - 1]
             hit ^= low
-        reduced[p] = r
-    leads.reverse()
-    basis = [_reverse(reduced[p], n) for p in leads]
-    return Subspace(n, basis, tuple(n - 1 - p for p in leads))
+        rows[p] = r
+    return Subspace(n, [rows[p] for p in pivots], tuple(pivots))
 
 
-def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, Subspace]:
-    """The image span and the canonical kernel of a matrix given as columns.
-
-    One elimination serves both (Bruner's [d | I]): column j enters as the
-    graph vector ``(c_j << n) | 1 << (n-1-j)``, its tag bit-reversed so that
-    the highest bit stands for the lowest coordinate.  Rows led by a bit at
-    or above n carry the image in their high part, with distinct leads;
-    rows led below n have no high part and are kernel vectors, one per
-    dimension of the kernel.  Back-substitution among the kernel rows and a
-    bit reversal give the kernel that full Gauss-Jordan reads off the
-    non-pivot columns, the same rows and pivots (``kernel_basis`` of
-    ``tests/f2ref.py``): a row led by p has its pivot at coordinate n - 1 - p.
-    """
+def _graph(columns: Sequence[int], rows: int) -> EchelonAccumulator:
+    """Semi-echelon span of the graph vectors ``(c_j << n) | 1 << j`` of n columns."""
     n = len(columns)
     graph = EchelonAccumulator(rows + n)
     for j, c in enumerate(columns):
         if c >> rows:
             raise F2Error("column has bits set beyond row count")
-        graph.add((c << n) | (1 << (n - 1 - j)))
-    image = EchelonAccumulator(rows)
-    kernel: dict[int, int] = {}
+        graph.add((c << n) | (1 << j))
+    return graph
+
+
+def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumulator, list[int]]:
+    """The image span and an unreduced kernel basis of a matrix given as columns.
+
+    One elimination of the graph (:func:`_graph`) serves both (Bruner's
+    [d | I]).  Rows led at or above n carry the image in their high part,
+    with distinct leads; rows led below n have no high part and are kernel
+    vectors, one per dimension of the kernel.  :func:`reduced` turns them
+    into the canonical basis of ``kernel_basis`` in ``tests/f2ref.py``.
+    """
+    n = len(columns)
+    graph = _graph(columns, rows)
+    image, kernel = EchelonAccumulator(rows), []
     for p, r in graph._rows.items():
         if p >= n:
             image._rows[p - n] = r >> n
             image._lead |= 1 << (p - n)
         else:
-            kernel[p] = r
-    return image, _reversed_rref(kernel, graph._lead & ((1 << n) - 1), n)
+            kernel.append(r)
+    return image, kernel

@@ -30,6 +30,7 @@ two inclusions are then linear too.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,6 +41,7 @@ from .f2core import (
     image_and_kernel,
     quotient_section,
     rank as f2rank,
+    reduced,
     transpose,
 )
 from .steenrod import AlgebraElement, AlgebraTable
@@ -271,18 +273,20 @@ class FreeIndexer:
         ]
 
     def apply_sq(self, k: int, t: int, vec: int) -> int:
-        """Sq^k acting on a degree-t vector of the free module."""
+        """Sq^k on a degree-t vector, block by block down from its highest bit
+        p, whose block is the last generator with offset at most p: an absent
+        generator has the offset of the next one."""
         if k == 0 or vec == 0:
             return vec
-        sq_columns = self.algebra.sq_columns
+        sq_columns, degrees = self.algebra.sq_columns, self.gen_degrees
+        offsets, out_offsets = self._degree(t)[1], self._degree(t + k)[1]
         out = 0
-        out_offsets = self._degree(t + k)[1]
-        for g, d, off in reversed(self._degree(t)[0]):
+        while vec:
+            g = bisect_right(offsets, vec.bit_length() - 1) - 1
+            off = offsets[g]
             block = vec >> off
-            if not block:
-                continue
             vec ^= block << off
-            out |= combine(sq_columns(k, t - d), block) << out_offsets[g]
+            out |= combine(sq_columns(k, t - degrees[g]), block) << out_offsets[g]
         return out
 
     def element_of(self, vec: int, t: int) -> dict[int, AlgebraElement]:
@@ -448,7 +452,7 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     kers, imgs = [], []
     for t in range(bound + 1):
         image, kernel = image_and_kernel(f.columns[t], cod.dim(t))
-        kers.append(kernel)
+        kers.append(reduced(kernel, dom.dim(t)))
         imgs.append(image.subspace())
     i_K = inclusion_map(dom, kers)
     i_I = inclusion_map(cod, imgs)

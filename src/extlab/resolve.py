@@ -1,17 +1,17 @@
 """Minimal free resolution engine.
 
 Sweeps bidegrees with t ascending and s ascending (Bruner-style).  At each
-(s, t) one elimination of the old columns of d_s, those of the generators of
-degree below t, yields both their image and their kernel
-(:func:`~extlab.f2core.image_and_kernel`).  The canonical kernel basis of
-d_{s-1} at t, carried over from the step before, is reduced against the
-image, and each nonzero remainder becomes a new generator mapping onto it,
-so new generators span a canonical echelon complement.  Their columns are
-independent modulo the old ones, so no combination that involves them lies
-in the kernel: ker d_s at t is the kernel of the old columns, padded with
-zeros in the new generators' coordinates (which come last), and serves the
-next s as it stands.  Minimality holds by construction, so the generator
-count in bidegree (s, t) *is* dim Ext^{s,t}.
+(s, t) one graph elimination of the old columns of d_s, those of the
+generators of degree below t, yields their image and a kernel basis
+(:func:`~extlab.f2core.image_and_kernel`).  The image lies in ker d_{s-1}
+at t (M_t at s = 0), as d o d = 0 is checked on each generator as it is
+added, so where their ranks agree the step adds nothing.  Elsewhere the
+kernel kept from the step before is reduced (:func:`~extlab.f2core.reduced`)
+and each basis vector's nonzero remainder against the image becomes a new
+generator mapping onto it.  New columns span a canonical echelon complement
+of the old ones, so ker d_s at t is the old columns' kernel, padded with
+zeros in the new generators' coordinates, which come last.  Minimality
+holds by construction: the generator count at (s, t) *is* dim Ext^{s,t}.
 
 Charts report every (s, t) with s <= max_s, t <= max_t: a generator at
 (s, t) depends only on data in internal degrees <= t.  Consumers that chase
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .f2core import EchelonAccumulator, combine, image_and_kernel
+from .f2core import EchelonAccumulator, combine, image_and_kernel, reduced
 from .gradedmod import FreeIndexer, GradedModule
 
 FORMAT_VERSION = 1
@@ -182,22 +182,25 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
     degree max_t."""
     res = Resolution(module, max_s, max_t)
     for t in range(max_t + 1):
-        candidates = [1 << j for j in range(module.dim(t))]  # then ker d_{s-1} at t
+        kernel = [1 << j for j in range(module.dim(t))]  # M_t, then ker d_{s-1} at t
         for s in range(max_s + 1):
             cols = res.diff_columns(s, t)  # columns over old generators only
-            image, kernel = image_and_kernel(cols, res.ambient_dim(s, t))
+            rows = res.ambient_dim(s, t)
+            image, next_kernel = image_and_kernel(cols, rows)
             new_cols = list(cols)
-            for v in candidates:
-                r = image.add(v)
-                if r == 0:
-                    continue
-                g = res.indexers[s].add_generator(t)
-                if s and combine(res._cols[s - 1][t], r):
-                    raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
-                res.targets[s].append(r)
-                new_cols.append(r)
+            if image.rank < len(kernel):  # the image falls short of ker d_{s-1}
+                candidates = reduced(kernel, rows).rows if s else kernel
+                for v in candidates:
+                    r = image.add(v)
+                    if r == 0:
+                        continue
+                    g = res.indexers[s].add_generator(t)
+                    if s and combine(res._cols[s - 1][t], r):
+                        raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
+                    res.targets[s].append(r)
+                    new_cols.append(r)
             res._cols[s][t] = new_cols
-            candidates = kernel.rows
+            kernel = next_kernel
     return res
 
 

@@ -11,6 +11,7 @@ from extlab.f2core import (
     image_and_kernel,
     quotient_section,
     rank,
+    reduced,
 )
 from f2ref import BitMatrix, column_space, kernel_basis, rref, solve, subspace_from_rows
 
@@ -224,8 +225,8 @@ def column_lists(draw, max_dim=40):
 def test_image_and_kernel_match_kernel_basis(cr):
     cols, rows = cr
     m = BitMatrix.from_columns(cols, rows)
-    image, kernel = image_and_kernel(cols, rows)
-    reference = kernel_basis(m)
+    image, vectors = image_and_kernel(cols, rows)
+    kernel, reference = reduced(vectors, len(cols)), kernel_basis(m)
     assert kernel == reference  # Subspace equality ignores the pivots
     assert kernel.pivots == reference.pivots
     assert image.subspace() == column_space(m)
@@ -243,13 +244,47 @@ def test_accumulator_subspace_matches_from_rows(cr):
     assert sub.pivots == reference.pivots
 
 
+def _kernel(cols, rows):
+    return reduced(image_and_kernel(cols, rows)[1], len(cols))
+
+
 def test_image_and_kernel_edges():
-    assert image_and_kernel([], 0)[1].rows == ()
+    assert _kernel([], 0).rows == ()
     assert image_and_kernel([], 3)[0].rank == 0
-    assert image_and_kernel([0, 0], 0)[1].rows == (0b01, 0b10)
-    assert image_and_kernel([0b11, 0b11, 0b01], 2)[1].rows == (0b011,)
+    assert _kernel([0, 0], 0).rows == (0b01, 0b10)
+    assert _kernel([0b11, 0b11, 0b01], 2).rows == (0b011,)
     with pytest.raises(F2Error):
         image_and_kernel([0b100], 2)
+
+
+@st.composite
+def vector_lists(draw, max_dim=40):
+    """Vectors in F2^n with zeros, repeats and sums of earlier vectors mixed
+    in; n may be 0."""
+    n = draw(st.integers(0, max_dim))
+    vectors = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 4))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=6)):
+        vectors.append(vectors[a % len(vectors)] ^ vectors[b % len(vectors)] if vectors else 0)
+    vectors += [0] * draw(st.integers(0, 2))
+    return draw(st.permutations(vectors)), n
+
+
+@given(vector_lists())
+@settings(max_examples=200, deadline=None)
+def test_reduced_matches_subspace_from_rows(vn):
+    vectors, n = vn
+    sub, reference = reduced(vectors, n), subspace_from_rows(vectors, n)
+    assert sub.rows == reference.rows
+    assert sub.pivots == reference.pivots
+    assert sub.ambient_dim == n
+
+
+def test_reduced_edges():
+    assert reduced([], 0) == Subspace(0, [], ())
+    assert reduced([0, 0], 0).rows == ()
+    assert reduced([0b011, 0b110, 0b101], 3).rows == (0b101, 0b110)  # back-substituted
+    with pytest.raises(F2Error):
+        reduced([0b100], 2)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.f2core import compose, image_and_kernel
+from extlab.f2core import compose, image_and_kernel, reduced
 from extlab.gradedmod import (
     ExactnessError,
     FreeIndexer,
@@ -281,7 +281,7 @@ def _four_maps(f):
     kers, imgs = [], []
     for t in range(f.max_t + 1):
         image, kernel = image_and_kernel(f.columns[t], f.codomain.dim(t))
-        kers.append(kernel)
+        kers.append(reduced(kernel, f.domain.dim(t)))
         imgs.append(image.subspace())
     i_K, i_I = inclusion_map(f.domain, kers), inclusion_map(f.codomain, imgs)
     p_I = ModuleMap(f.domain, i_I.domain, tuple(

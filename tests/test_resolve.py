@@ -2,19 +2,31 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extlab.gradedmod import free_module, sq1_quotient, trivial_module
+import extlab.resolve
+from extlab.f2core import image_and_kernel, reduced
+from extlab.gradedmod import (
+    factor_map,
+    free_module,
+    map_from_generators,
+    sq1_quotient,
+    trivial_module,
+)
 from extlab.oracle import admissible_words, oracle_ext_dims, reduce_word
 from extlab.resolve import (
     CacheError,
     ExtChart,
     FreeIndexer,
+    Resolution,
     cached_resolution,
     load_resolution,
     minimal_resolution,
     save_resolution,
     serialize_resolution,
 )
+from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraElement, AlgebraTable
 
 # Frozen from the dense oracle (tests/test_resolve.py computes them again in
@@ -255,3 +267,81 @@ def test_free_indexer_table_follows_new_generators(alg):
     assert idx.offset(1, 3) == alg.dim(3)
     assert idx.offset(1, 1) == idx.dim(1) == alg.dim(1)  # generator 1 starts above degree 1
 
+
+def _eager_resolution(module, max_s, max_t):
+    """The sweep with the canonical kernel of d_s reduced at every (s, t):
+    the reference for :func:`minimal_resolution`, which reduces it only where
+    the next s adds a generator."""
+    res = Resolution(module, max_s, max_t)
+    for t in range(max_t + 1):
+        candidates = [1 << j for j in range(module.dim(t))]
+        for s in range(max_s + 1):
+            cols = res.diff_columns(s, t)
+            image, kernel = image_and_kernel(cols, res.ambient_dim(s, t))
+            new_cols = list(cols)
+            for v in candidates:
+                r = image.add(v)
+                if r:
+                    res.indexers[s].add_generator(t)
+                    res.targets[s].append(r)
+                    new_cols.append(r)
+            res._cols[s][t] = new_cols
+            candidates = reduced(kernel, len(cols)).rows
+    return res
+
+
+def _scenario_f_kernel(max_t):
+    return factor_map(scenario_map(ScenarioSpec("f", 2, max_t))).K
+
+
+@pytest.mark.parametrize("build, max_s, max_t", [
+    (lambda alg: trivial_module(alg, 30), 12, 30),
+    (lambda alg: sq1_quotient(alg, 24).codomain, 10, 24),
+    (lambda alg: _scenario_f_kernel(20), 8, 20),
+], ids=["f2", "a-mod-sq1", "f-kernel"])
+def test_a_kernel_is_reduced_only_where_a_generator_appears(monkeypatch, build, max_s, max_t):
+    """The image of the old columns lies in ker d_{s-1}, so where their ranks
+    agree no candidate survives; only the (s, t) with s >= 1 that gain a
+    generator reduce the kernel of the step before."""
+    calls = []
+
+    def counted(vectors, n):
+        calls.append(n)
+        return reduced(vectors, n)
+
+    monkeypatch.setattr(extlab.resolve, "reduced", counted)
+    res = minimal_resolution(build(AlgebraTable(max_t)), max_s, max_t)
+    gained = [
+        (s, t) for t in range(max_t + 1) for s in range(1, max_s + 1) if res.gen_count(s, t)
+    ]
+    assert len(calls) == len(gained) > 0
+
+
+@st.composite
+def maps_onto_a(draw, max_t=14):
+    """A map free:[a, b] -> free:[0] sending the two generators to random
+    elements of A."""
+    alg = AlgebraTable(max_t)
+    shifts = [draw(st.integers(0, max_t)) for _ in range(2)]
+    targets = [draw(st.integers(0, (1 << alg.dim(d)) - 1)) for d in shifts]
+    return map_from_generators(
+        free_module(alg, shifts, max_t), free_module(alg, [0], max_t), targets
+    )
+
+
+@given(maps_onto_a())
+@settings(max_examples=30, deadline=None)
+def test_lazy_kernels_resolve_as_the_eager_sweep(f):
+    fac = factor_map(f)
+    for module in (fac.K, fac.I, fac.C):
+        assert serialize_resolution(minimal_resolution(module, 6, 14)) == (
+            serialize_resolution(_eager_resolution(module, 6, 14))
+        )
+
+
+@pytest.mark.parametrize("shifts", [[3, 0, 1], [0, 2]], ids=["free:3,0,1", "free:0,2"])
+def test_free_modules_resolve_as_the_eager_sweep(shifts):
+    module = free_module(AlgebraTable(20), shifts, 20)
+    assert serialize_resolution(minimal_resolution(module, 8, 20)) == (
+        serialize_resolution(_eager_resolution(module, 8, 20))
+    )
