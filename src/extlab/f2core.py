@@ -224,9 +224,6 @@ class EchelonAccumulator:
             self._lead |= 1 << p
         return v
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     def subspace(self) -> Subspace:
         """The span in reduced echelon form (:func:`reduced`)."""
         return reduced(self._rows.values(), self.ambient_dim)

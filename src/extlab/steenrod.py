@@ -1,21 +1,23 @@
 """The mod-2 Steenrod algebra in the admissible basis.
 
 A monomial Sq^{i1}...Sq^{ik} is admissible when i_j >= 2*i_{j+1}; the
-admissible monomials of each degree form a basis.  Arbitrary words are
-rewritten into this basis with the Adem relations
+admissible monomials of each degree form a basis.  The action of Sq^k on
+it comes from the Adem relations
 
     Sq^a Sq^b = sum_c binom(b-c-1, a-2c) Sq^{a+b-c} Sq^c   (a < 2b, mod 2),
 
 binomial parity decided by Lucas' theorem.  An :class:`AlgebraTable` fixes a
-degree bound, enumerates the bases once, and memoizes products; elements are
-bit-vectors over the canonical basis ordering of their degree.
+degree bound, enumerates the bases once, and memoizes the action of each
+Sq^k; elements are bit-vectors over the canonical basis ordering of their
+degree.
 
-Products apply tables ``sq_columns(k, n)``, the columns of Sq^k from degree
-n to n + k.  The column of a monomial m is (k, *m) when m is empty or m =
+The tables ``sq_columns(k, n)`` hold the columns of Sq^k from degree n to
+n + k.  The column of a monomial m is (k, *m) when m is empty or m =
 (a, *tail) with k >= 2a, else the Adem sum over c of Sq^{k+a-c}(Sq^c tail):
 tables of the same total degree and a larger exponent k + a - c > k (as
 c <= k/2 < a), or of lower total degree, so the memoized recursion ends.
-``adem_reduce`` rewrites words directly; it is the tables' test reference.
+``extlab verify`` checks every table entry to degree 64 against the
+independent rewriter of :mod:`extlab.oracle`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2core import EchelonAccumulator, combine
+from .f2core import combine
 
 
 class DegreeError(ValueError):
@@ -31,10 +33,6 @@ class DegreeError(ValueError):
 
 
 Monomial = tuple[int, ...]  # admissible exponent sequence; () is the unit
-
-
-def is_admissible(word: Monomial) -> bool:
-    return all(word[j] >= 2 * word[j + 1] for j in range(len(word) - 1))
 
 
 def binom_mod2(m: int, n: int) -> int:
@@ -93,16 +91,12 @@ class AlgebraElement:
     degree: int
     coords: int
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.degree != other.degree:
-            raise DegreeError("cannot add elements of different degrees")
-        return AlgebraElement(self.degree, self.coords ^ other.coords)
-
 
 class AlgebraTable:
-    """Basis enumeration and memoized multiplication up to a degree bound.
+    """Basis enumeration and the memoized action of each Sq^k up to a
+    degree bound.
 
-    Built once, then read-only; product and antipode tables fill in lazily
+    Built once, then read-only; the Sq^k and antipode tables fill in lazily
     and deterministically, so precomputing before sharing across threads is
     optional.
     """
@@ -110,7 +104,7 @@ class AlgebraTable:
     def __init__(self, max_degree: int):
         if max_degree < 0:
             raise DegreeError("max_degree must be non-negative")
-        self.max_degree = max_degree
+        self._max_degree = max_degree
         self._basis: list[tuple[Monomial, ...]] = [
             _admissible_words(t) for t in range(max_degree + 1)
         ]
@@ -123,14 +117,12 @@ class AlgebraTable:
         ]
         self._sq: dict[tuple[int, int], list[int]] = {}
         self._antipode_sq: dict[int, int] = {0: 1}
-        self._antipode_mono: dict[tuple[int, int], int] = {}
-        self._decomposables: dict[int, EchelonAccumulator] = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
     def check_degree(self, t: int) -> None:
-        if not 0 <= t <= self.max_degree:
-            raise DegreeError(f"degree {t} outside [0, {self.max_degree}]")
+        if not 0 <= t <= self._max_degree:
+            raise DegreeError(f"degree {t} outside [0, {self._max_degree}]")
 
     def basis(self, t: int) -> tuple[Monomial, ...]:
         self.check_degree(t)
@@ -143,65 +135,11 @@ class AlgebraTable:
     def index(self, mono: Monomial) -> int:
         return self._index[sum(mono)][mono]
 
-    def monomial(self, word: Monomial) -> AlgebraElement:
-        """Admissible word as a basis element."""
-        t = sum(word)
-        self.check_degree(t)
-        if not is_admissible(word):
-            raise ValueError(f"{word} is not admissible")
-        return AlgebraElement(t, 1 << self._index[t][word])
-
     def sq(self, n: int) -> AlgebraElement:
-        return self.monomial((n,) if n else ())
+        self.check_degree(n)
+        return AlgebraElement(n, 1 << self._index[n][(n,) if n else ()])
 
-    @property
-    def unit(self) -> AlgebraElement:
-        return AlgebraElement(0, 1)
-
-    def zero(self, t: int) -> AlgebraElement:
-        self.check_degree(t)
-        return AlgebraElement(t, 0)
-
-    def terms(self, x: AlgebraElement) -> list[Monomial]:
-        basis = self.basis(x.degree)
-        coords = x.coords
-        out = []
-        while coords:
-            low = coords & -coords
-            out.append(basis[low.bit_length() - 1])
-            coords ^= low
-        return out
-
-    # -- Adem rewriting ----------------------------------------------------
-
-    def adem_reduce(self, word: list[int], strategy: str = "leftmost") -> AlgebraElement:
-        """Image of Sq^{w1}...Sq^{wk} in the admissible basis.
-
-        ``strategy`` picks which inadmissible adjacent pair is rewritten
-        first; the result is independent of the choice (tested), leftmost is
-        the default.
-        """
-        if any(w <= 0 for w in word):
-            raise ValueError("exponents must be positive")
-        t = sum(word)
-        self.check_degree(t)
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        result = 0
-        stack: list[Monomial] = [tuple(word)]
-        index = self._index[t]
-        while stack:
-            w = stack.pop()
-            spots = range(len(w) - 1) if strategy == "leftmost" else range(len(w) - 2, -1, -1)
-            pos = next((j for j in spots if w[j] < 2 * w[j + 1]), None)
-            if pos is None:
-                result ^= 1 << index[w]
-                continue
-            for repl in _adem_pair(w[pos], w[pos + 1]):
-                stack.append(w[:pos] + repl + w[pos + 2 :])
-        return AlgebraElement(t, result)
-
-    # -- multiplication ----------------------------------------------------
+    # -- the action of Sq^k ------------------------------------------------
 
     def heads(self, n: int) -> tuple[tuple[int, int], ...]:
         """(first exponent a, index of the tail in degree n - a) of each
@@ -231,31 +169,6 @@ class AlgebraTable:
             self._sq[(k, n)] = cols
         return cols
 
-    def multiply_mono(self, da: int, ia: int, db: int, ib: int) -> int:
-        """Coords of basis[da][ia] * basis[db][ib] in degree da+db: the
-        letters of the left factor applied right to left."""
-        coords, deg = 1 << ib, db
-        for e in reversed(self._basis[da][ia]):
-            coords = combine(self.sq_columns(e, deg), coords)
-            deg += e
-        return coords
-
-    def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        t = a.degree + b.degree
-        self.check_degree(t)
-        result = 0
-        ac = a.coords
-        while ac:
-            la = ac & -ac
-            ia = la.bit_length() - 1
-            ac ^= la
-            bc = b.coords
-            while bc:
-                lb = bc & -bc
-                result ^= self.multiply_mono(a.degree, ia, b.degree, lb.bit_length() - 1)
-                bc ^= lb
-        return AlgebraElement(t, result)
-
     # -- antipode ------------------------------------------------------------
 
     def antipode_sq(self, n: int) -> AlgebraElement:
@@ -269,37 +182,3 @@ class AlgebraTable:
                 acc ^= combine(self.sq_columns(m - j, j), self._antipode_sq[j])
             self._antipode_sq[m] = acc
         return AlgebraElement(n, self._antipode_sq[n])
-
-    def antipode_elem(self, x: AlgebraElement) -> AlgebraElement:
-        """chi extended as an anti-automorphism: reverse the word, conjugate letters."""
-        out = self.zero(x.degree)
-        for mono in self.terms(x):
-            key = (x.degree, self._index[x.degree][mono])
-            coords = self._antipode_mono.get(key)
-            if coords is None:
-                acc = self.unit
-                for e in reversed(mono):
-                    acc = self.multiply(acc, self.antipode_sq(e))
-                coords = acc.coords
-                self._antipode_mono[key] = coords
-            out = out + AlgebraElement(x.degree, coords)
-        return out
-
-    # -- decomposables -------------------------------------------------------
-
-    def _decomposable_span(self, t: int) -> EchelonAccumulator:
-        span = self._decomposables.get(t)
-        if span is None:
-            span = EchelonAccumulator(self.dim(t))
-            for d in range(1, t):
-                for ia in range(self.dim(d)):
-                    for ib in range(self.dim(t - d)):
-                        span.add(self.multiply_mono(d, ia, t - d, ib))
-            self._decomposables[t] = span
-        return span
-
-    def is_decomposable(self, x: AlgebraElement) -> bool:
-        """Whether x lies in the span of products of positive-degree elements."""
-        if x.degree < 1:
-            raise ValueError("decomposability is defined in positive degrees")
-        return self._decomposable_span(x.degree).contains(x.coords)

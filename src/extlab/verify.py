@@ -8,7 +8,6 @@ mean the same thing.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -24,10 +23,11 @@ from .resolve import (
 from .scenarios import (
     ScenarioSpec,
     build_scenario,
+    compare_projection_filtration,
     kernel_image_lemma_check,
     verify_scenario,
 )
-from .steenrod import AlgebraElement, AlgebraTable, milnor_basis_dims
+from .steenrod import AlgebraTable, milnor_basis_dims
 
 SUITES = ("steenrod", "resolution", "les", "scenarios")
 
@@ -54,9 +54,10 @@ class SuiteReport:
         try:
             fn()
             self.checks.append(Check(suite, name, True, seconds=time.perf_counter() - start))
-        except AssertionError as exc:
+        except (AssertionError, RuntimeError, ValueError) as exc:
+            detail = str(exc) if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
             self.checks.append(
-                Check(suite, name, False, detail=str(exc), seconds=time.perf_counter() - start)
+                Check(suite, name, False, detail=detail, seconds=time.perf_counter() - start)
             )
 
 
@@ -73,68 +74,37 @@ def free_chart(shifts, max_s: int, max_t: int) -> ExtChart:
 
 
 def suite_steenrod(report: SuiteReport) -> None:
-    alg = AlgebraTable(34)
+    from .oracle import reduce_word  # loaded here only, so resolve and scenario skip it
+
+    top = 64
+    alg = AlgebraTable(top)
+
+    def coords(words) -> int:
+        return sum(1 << alg.index(w) for w in words)
 
     def dims_vs_partition_oracle():
-        assert [alg.dim(t) for t in range(25)] == milnor_basis_dims(24)
+        assert [alg.dim(t) for t in range(top + 1)] == milnor_basis_dims(top)
 
-    def associativity_all_low():
-        for da in range(1, 13):
-            for db in range(1, 13 - da + 1):
-                for dc in range(1, 14 - da - db + 1):
-                    for ia in range(alg.dim(da)):
-                        a = AlgebraElement(da, 1 << ia)
-                        for ib in range(alg.dim(db)):
-                            b = AlgebraElement(db, 1 << ib)
-                            ab = alg.multiply(a, b)
-                            for ic in range(alg.dim(dc)):
-                                c = AlgebraElement(dc, 1 << ic)
-                                assert alg.multiply(ab, c) == alg.multiply(
-                                    a, alg.multiply(b, c)
-                                ), (da, ia, db, ib, dc, ic)
+    def sq_tables_vs_oracle():
+        for n in range(top):
+            for k in range(1, top - n + 1):
+                for m, col in zip(alg.basis(n), alg.sq_columns(k, n)):
+                    assert col == coords(reduce_word((k,) + m)), (k, m)
 
-    def associativity_sampled_20():
-        rng = random.Random(20221)
-        done = 0
-        while done < 4000:
-            da, db, dc = (rng.randrange(1, 12) for _ in range(3))
-            if da + db + dc > 20:
-                continue
-            a = AlgebraElement(da, 1 << rng.randrange(alg.dim(da)))
-            b = AlgebraElement(db, 1 << rng.randrange(alg.dim(db)))
-            c = AlgebraElement(dc, 1 << rng.randrange(alg.dim(dc)))
-            assert alg.multiply(alg.multiply(a, b), c) == alg.multiply(a, alg.multiply(b, c))
-            done += 1
+    def antipode_recursion():
+        for n in range(1, top + 1):
+            acc = alg.antipode_sq(n).coords
+            for i in range(1, n + 1):
+                chi = alg.antipode_sq(n - i).coords
+                for j, m in enumerate(alg.basis(n - i)):
+                    if chi >> j & 1:
+                        acc ^= coords(reduce_word((i,) + m))
+            assert acc == 0, n
 
-    def adem_confluence():
-        rng = random.Random(777)
-        done = 0
-        while done < 3000:
-            length = rng.randrange(2, 6)
-            word = [rng.randrange(1, 9) for _ in range(length)]
-            if sum(word) > 20:
-                continue
-            assert alg.adem_reduce(word, "leftmost") == alg.adem_reduce(word, "rightmost"), word
-            done += 1
-
-    def antipode_involution():
-        for t in range(1, 21):
-            for i in range(alg.dim(t)):
-                x = AlgebraElement(t, 1 << i)
-                assert alg.antipode_elem(alg.antipode_elem(x)) == x, (t, i)
-
-    def decomposability_pattern():
-        for n in range(2, 33):
-            expected = not (n & (n - 1)) == 0
-            assert alg.is_decomposable(alg.sq(n)) == expected, n
-            assert alg.is_decomposable(alg.antipode_sq(n)) == expected, ("chi", n)
-
-    report.run("steenrod", "basis dims vs partition oracle", dims_vs_partition_oracle)
-    report.run("steenrod", "associativity, all triples of total degree <= 14", associativity_all_low)
-    report.run("steenrod", "associativity, sampled to degree 20", associativity_sampled_20)
-    report.run("steenrod", "Adem confluence, leftmost vs rightmost", adem_confluence)
-    report.run("steenrod", "antipode is an involution to degree 20", antipode_involution)
-    report.run("steenrod", "Sq^n decomposable iff n not a power of 2 (n <= 32)", decomposability_pattern)
+    report.run("steenrod", f"basis dims vs partition oracle to degree {top}", dims_vs_partition_oracle)
+    report.run("steenrod", f"every Sq^k table entry to degree {top} vs the oracle's Adem rewriting",
+               sq_tables_vs_oracle)
+    report.run("steenrod", f"sum_i Sq^i chi(Sq^(n-i)) = 0 for n <= {top}", antipode_recursion)
 
 
 # -- resolution --------------------------------------------------------------
@@ -257,11 +227,14 @@ def suite_les(report: SuiteReport) -> None:
 
 
 def suite_scenarios(report: SuiteReport) -> None:
+    built = {}
+
     def run_kind(spec: ScenarioSpec):
         result = build_scenario(spec)
         assert result.ok, result.hypothesis.violations()[:3]
         diff = verify_scenario(result)
         assert diff == [], diff[:5]
+        built[spec] = result
         return result
 
     def single_mod2():
@@ -275,6 +248,14 @@ def suite_scenarios(report: SuiteReport) -> None:
         rep = kernel_image_lemma_check(result)
         assert rep.ok, rep.violations()[:3]
 
+    def projection_filtration():
+        big_spec = ScenarioSpec("f", 8, 18)
+        big_f = built.get(big_spec) or run_kind(big_spec)
+        singles = [run_kind(ScenarioSpec("fnz", 6, 2 * i + 10, n=2 * i)) for i in range(1, 5)]
+        for d in compare_projection_filtration(big_f, singles, require=[1, 2, 3, 4]):
+            raised = 0 if d.i & (d.i - 1) == 0 else 1
+            assert d.filt_single - d.filt_big == raised, d
+
     def conjugate_matches():
         a = run_kind(ScenarioSpec("f", 6, 14))
         b = run_kind(ScenarioSpec("f-conj", 6, 14))
@@ -283,6 +264,8 @@ def suite_scenarios(report: SuiteReport) -> None:
     report.run("scenarios", "mod-2 single square collapses to two classes", single_mod2)
     report.run("scenarios", "integral single square collapses to tower + class", single_integral)
     report.run("scenarios", "big fiber matches the odd-stem pattern", big)
+    report.run("scenarios", "projection keeps the filtration for i a power of 2, raises it by one "
+               "otherwise (i <= 4)", projection_filtration)
     report.run("scenarios", "conjugated fiber gives the identical page", conjugate_matches)
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from extlab import verify
 from extlab.cli import main
-from extlab.gradedmod import factor_map, free_module, sq1_quotient, trivial_module
+from extlab.gradedmod import ExactnessError, factor_map, free_module, sq1_quotient, trivial_module
 from extlab.resolve import Resolution, cache_path, load_resolution, serialize_resolution
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
@@ -227,6 +228,23 @@ def test_verify_json_report(capsys, tmp_path):
     assert doc["schema"] == "extlab.verify/1"
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_records_a_pipeline_error_as_a_failed_check(capsys, tmp_path, monkeypatch):
+    def broken(result):
+        raise ExactnessError("rank mismatch at degree 5")
+
+    monkeypatch.setattr(verify, "kernel_image_lemma_check", broken)
+    path = tmp_path / "report.json"
+    code, out, _ = run(["verify", "--suite", "scenarios", "--json-output", str(path)], capsys)
+    assert code == 1
+    assert "[FAIL] scenarios: big fiber" in out
+    assert "ExactnessError: rank mismatch at degree 5" in out
+    doc = json.loads(path.read_text())
+    assert doc["passed"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert [c["passed"] for c in doc["checks"]].count(False) == 1
+    assert checks["conjugated fiber gives the identical page"]["passed"]  # ran after the failure
 
 
 F2_6_14 = ["resolve", "--module", "f2", "--max-s", "6", "--max-t", "14", "--format", "json"]

@@ -151,7 +151,7 @@ def test_echelon_accumulator():
     assert acc.add(0b0110)
     assert acc.add(0b0110) == 0
     assert acc.add(0b1100)
-    assert acc.contains(0b1010)
+    assert acc.reduce(0b1010) == 0
     assert acc.rank == 2
     assert acc.subspace() == subspace_from_rows([0b0110, 0b1100], 4)
 

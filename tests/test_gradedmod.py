@@ -16,6 +16,7 @@ from extlab.gradedmod import (
     sq1_quotient,
     trivial_module,
 )
+from extlab.oracle import reduce_word
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 from f2ref import subspace_from_rows
@@ -37,12 +38,11 @@ def check_adem_relations(mod, amax=None):
     """For every inadmissible pair (a, b) with a <= amax (default: the whole
     window), the action of Sq^a Sq^b equals the sum of its admissible
     rewriting applied as maps, in every degree."""
-    alg = mod.algebra
     for a in range(1, (amax or mod.max_t) + 1):
         for b in range((a + 2) // 2, mod.max_t + 1):
             for t in range(0, mod.max_t - a - b + 1):
                 rhs = [0] * mod.dim(t)
-                for mono in alg.terms(alg.adem_reduce([a, b])):
+                for mono in reduce_word((a, b)):
                     term = mod.action(mono[-1], t)
                     if len(mono) == 2:
                         term = compose(mod.action(mono[0], t + mono[1]), term)
@@ -187,6 +187,14 @@ def test_linearity_check_catches_breakage(alg, amod):
     broken = ModuleMap(sigma1, amod, tuple(columns))
     with pytest.raises(ExactnessError):
         broken.check_linearity()
+
+
+def test_map_into_a_codomain_that_breaks_an_adem_relation_is_rejected(alg):
+    # Sq^1 Sq^1 = 0 fails on this codomain, so no linear map from A sends
+    # the generator to its bottom class
+    broken = GradedModule(alg, 2, [1, 1, 1], {(1, 0): [1], (1, 1): [1]})
+    with pytest.raises(ExactnessError, match="Sq\\^1 at degree 1"):
+        map_from_generators(free_module(alg, [0], 2), broken, [1])
 
 
 def test_module_constructor_checks_actions(alg):

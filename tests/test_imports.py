@@ -61,12 +61,6 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-# Names that nothing in the library calls, kept on purpose.
-REFERENCES = (
-    "compare_projection_filtration",  # the paper's filtration comparison, run by the acceptance suite
-)
-
-
 def _referenced_names(node: ast.AST, attributes_only: bool = False) -> set[str]:
     """Names, attribute names and string-annotation names used under node."""
     used = set()
@@ -120,8 +114,8 @@ def _unused(methods: bool) -> dict[str, str]:
             uses.append((owners, set().union(*(_referenced_names(n, methods) for n in nodes))))
     return {
         name: module for name, module in defined.items()
-        if (short := name.rpartition(".")[2]) not in REFERENCES
-        and not any(short in used for owners, used in uses if short not in owners)
+        for short in [name.rpartition(".")[2]]
+        if not any(short in used for owners, used in uses if short not in owners)
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from extlab.lescalc import (
     les_exactness_report,
 )
 from extlab.resolve import ExtChart, minimal_resolution
-from extlab.scenarios import ScenarioSpec, scenario_map
+from extlab.scenarios import ScenarioSpec, build_scenario, scenario_map
 from extlab.steenrod import AlgebraTable
 from extlab.verify import free_chart
 from f2ref import BitMatrix
@@ -351,3 +352,21 @@ def test_verify_names_a_broken_base_or_tau_1(fn_setup):
     )
     with pytest.raises(AssertionError, match=rf"generator {h} at \(s=1, t={t}\)"):
         _with_tau_bit_flipped(lift, 1, h, 0).verify()
+
+
+# sha256 of repr(sorted(cols.items())) of d_IK and d_CI of scenario f at
+# (10, 26). Every consumer reads only ranks, and d_IK is an isomorphism for
+# s >= 1 (the middle module is free), so a permuted basis would leave every
+# chart as it is: these pin the matrices themselves.
+BOUNDARY_F_10_26 = [
+    "8d9fda9a9d57dda2252b9bd844ae86668cba2055ae6e55ada812a5716ad9b33f",
+    "48a2ae45a4a2d2c75532c91a41dcd93765f495b12fe583439ea1950193d54f77",
+]
+
+
+def test_connecting_map_matrices_are_pinned():
+    result = build_scenario(ScenarioSpec("f", 10, 26))
+    assert [
+        hashlib.sha256(repr(sorted(d.cols.items())).encode()).hexdigest()
+        for d in (result.d_ik, result.d_ci)
+    ] == BOUNDARY_F_10_26

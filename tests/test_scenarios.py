@@ -1,5 +1,10 @@
+import re
+
 import pytest
 
+from extlab import scenarios
+from extlab.cli import main
+from extlab.lescalc import horseshoe_lift
 from extlab.scenarios import (
     E3Chart,
     ScenarioSpec,
@@ -206,3 +211,19 @@ def test_e3_window():
     assert not chart.certified(0, 4)
     assert (6, 0) in set(chart.cells())
     assert (7, 0) not in set(chart.cells())
+
+
+def test_a_tampered_lift_fails_the_scenario(monkeypatch, capsys):
+    # one bit of tau_2 on the first generator of P_2(quot) flipped: the lift
+    # check must stop the build and name the bidegree
+    def tampered(ses, res_sub, res_quot):
+        lift = horseshoe_lift(ses, res_sub, res_quot)
+        lift.tau[2][0] ^= 1
+        return lift
+
+    monkeypatch.setattr(scenarios, "horseshoe_lift", tampered)
+    with pytest.raises(AssertionError, match=r"\(s=2, t=") as info:
+        build_scenario(ScenarioSpec("f", 6, 14))
+    bidegree = re.search(r"\(s=2, t=\d+\)", str(info.value)).group()
+    assert main(["scenario", "--kind", "f", "--max-s", "6", "--max-t", "14", "--no-cache"]) == 1
+    assert bidegree in capsys.readouterr().err
