@@ -11,7 +11,8 @@ of a resolution, keep their basis order in a :class:`FreeIndexer`:
 (generator, admissible monomial) in generator-major order.  Its initial
 generators may come in any degree order; ``add_generator``, with which a
 resolution grows, appends in non-decreasing degree.  Its ``map_columns`` is
-the one routine that builds the columns of a map out of a free module.
+the one routine that builds the columns of a map out of a free module, and
+the indexer computes a free module's Sq^k on each call: none is stored.
 
 Everything is only meaningful up to the construction bound ``max_t``:
 consumers must propagate that margin.  Given one
@@ -60,7 +61,8 @@ class GradedModule:
     ``actions[(k, t)]`` is the column list of Sq^k from degree t to degree
     t+k; missing keys mean the zero map.  The module keeps the lists it is
     given, which nobody may change afterwards.  ``free_basis`` is set for
-    free modules: the :class:`FreeIndexer` that orders their basis.
+    free modules: the :class:`FreeIndexer` that orders their basis and
+    computes their action, which the module does not store.
     """
 
     __slots__ = ("algebra", "max_t", "dims", "free_basis", "_actions", "_digest")
@@ -95,29 +97,32 @@ class GradedModule:
         return self.dims[t] if 0 <= t <= self.max_t else 0
 
     def action(self, k: int, t: int) -> list[int]:
-        """Columns of Sq^k from degree t: the identity for k = 0, zeros when
-        the action is absent."""
-        if k == 0:
-            return [1 << i for i in range(self.dims[t])]
+        """Columns of Sq^k, k >= 1, from degree t: zeros when the action is
+        absent or leaves the window."""
+        if self.free_basis is not None and t + k <= self.max_t:
+            return self.free_basis.action_columns(k, t)
         cols = self._actions.get((k, t))
         return [0] * self.dims[t] if cols is None else cols
 
     def apply_sq(self, k: int, t: int, vec: int) -> int:
-        """Sq^k on a degree-t vector."""
-        if k == 0:
-            return vec
+        """Sq^k, k >= 1, on a degree-t vector."""
+        if self.free_basis is not None and t + k <= self.max_t:
+            return self.free_basis.apply_sq(k, t, vec)
         cols = self._actions.get((k, t))
         return 0 if cols is None else combine(cols, vec)
 
     def digest(self) -> str:
-        """Content hash of (max_t, dims, actions)."""
+        """Content hash of (max_t, dims) and the nonzero actions in (k, t) order."""
         if self._digest is None:
             h = hashlib.sha256()
             h.update(b"EXTMOD1")
             h.update(repr((self.max_t, self.dims)).encode())
-            for (k, t), cols in sorted(self._actions.items()):
-                rows = self.dims[t + k]
-                h.update(repr(((k, t), (rows, len(cols)), tuple(transpose(cols, rows)))).encode())
+            for k in range(1, self.max_t + 1):
+                for t in range(self.max_t - k + 1):
+                    cols = self.action(k, t)
+                    if any(cols):
+                        rows = self.dims[t + k]
+                        h.update(repr(((k, t), (rows, len(cols)), tuple(transpose(cols, rows)))).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -276,8 +281,6 @@ class FreeIndexer:
         """Sq^k on a degree-t vector, block by block down from its highest bit
         p, whose block is the last generator with offset at most p: an absent
         generator has the offset of the next one."""
-        if k == 0 or vec == 0:
-            return vec
         sq_columns, degrees = self.algebra.sq_columns, self.gen_degrees
         offsets, out_offsets = self._degree(t)[1], self._degree(t + k)[1]
         out = 0
@@ -308,13 +311,8 @@ def free_module(algebra: AlgebraTable, shifts: Sequence[int], max_t: int) -> Gra
     if any(s < 0 for s in shifts):
         raise ValueError("shifts must be non-negative")
     basis = FreeIndexer(algebra, shifts)
-    actions = {
-        (k, t): basis.action_columns(k, t)
-        for k in range(1, max_t + 1)
-        for t in range(0, max_t - k + 1)
-    }
     dims = [basis.dim(t) for t in range(max_t + 1)]
-    return GradedModule(algebra, max_t, dims, actions, free_basis=basis)
+    return GradedModule(algebra, max_t, dims, {}, free_basis=basis)
 
 
 def map_from_generators(

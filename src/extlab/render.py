@@ -21,22 +21,20 @@ VERIFY_SCHEMA = "extlab.verify/1"
 class _Lattice:
     """Uniform (stem, filtration) view over both chart types."""
 
-    def __init__(self, max_stem, max_filt, dim, labels, title):
+    def __init__(self, max_stem, max_filt, dim, labels):
         self.max_stem = max_stem
         self.max_filt = max_filt
         self.dim = dim
         self.labels = labels
-        self.title = title
 
 
-def _lattice(chart, title: str) -> _Lattice:
+def _lattice(chart) -> _Lattice:
     if isinstance(chart, ExtChart):
         return _Lattice(
             max_stem=chart.max_t,
             max_filt=chart.max_s,
             dim=lambda stem, filt: chart.dim(filt, stem + filt),
             labels=lambda stem, filt: (),
-            title=title,
         )
     if isinstance(chart, E3Chart):
         return _Lattice(
@@ -44,14 +42,13 @@ def _lattice(chart, title: str) -> _Lattice:
             max_filt=chart.max_filt,
             dim=chart.dim,
             labels=lambda stem, filt: chart.annotations.get((stem, filt), ()),
-            title=title,
         )
     raise TypeError(f"cannot render {type(chart).__name__}")
 
 
 def ascii_chart(chart, title: str = "") -> str:
     """Filtration rows top-down, one cell per stem; dots are empty cells."""
-    lat = _lattice(chart, title)
+    lat = _lattice(chart)
     width = max(
         2,
         1 + max(
@@ -80,7 +77,7 @@ def ascii_chart(chart, title: str = "") -> str:
 def svg_chart(chart, title: str = "") -> str:
     from xml.sax.saxutils import escape  # imports urllib and ssl: only SVG output pays
 
-    lat = _lattice(chart, title)
+    lat = _lattice(chart)
     cell = 24
     margin = 40
     width = margin * 2 + (lat.max_stem + 1) * cell

@@ -105,6 +105,7 @@ def suite_steenrod(report: SuiteReport) -> None:
     report.run("steenrod", f"every Sq^k table entry to degree {top} vs the oracle's Adem rewriting",
                sq_tables_vs_oracle)
     report.run("steenrod", f"sum_i Sq^i chi(Sq^(n-i)) = 0 for n <= {top}", antipode_recursion)
+    reduce_word.cache_clear()  # the checks leave about 115k words in it, some 50 MB
 
 
 # -- resolution --------------------------------------------------------------

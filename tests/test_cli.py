@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from extlab import verify
 from extlab.cli import main
 from extlab.gradedmod import ExactnessError, factor_map, free_module, sq1_quotient, trivial_module
+from extlab.oracle import reduce_word
 from extlab.resolve import Resolution, cache_path, load_resolution, serialize_resolution
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
@@ -218,6 +219,7 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "OK:" in out
+    assert reduce_word.cache_info().currsize == 0  # the suite frees its words
 
 
 def test_verify_json_report(capsys, tmp_path):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.f2core import compose, image_and_kernel, reduced
+from extlab.f2core import combine, compose, image_and_kernel, reduced
 from extlab.gradedmod import (
     ExactnessError,
     FreeIndexer,
@@ -65,6 +67,35 @@ def test_free_module_examples(alg):
 def test_action_out_of_window_is_zero_shaped(amod):
     cols = amod.action(3, MAX_T - 1)
     assert cols == [0] * amod.dim(MAX_T - 1)
+
+
+def test_apply_sq_out_of_window_is_zero(amod):
+    top = (1 << amod.dim(MAX_T - 1)) - 1
+    assert amod.apply_sq(3, MAX_T - 1, top) == 0
+    assert amod.free_basis.apply_sq(3, MAX_T - 1, top) != 0  # the indexer has no window
+    assert amod.apply_sq(1, MAX_T - 1, top) == combine(amod.action(1, MAX_T - 1), top)
+
+
+# sha256 of free_module(alg, [2, 4, ..., 38], 38), taken from the stored
+# action tables that the module kept before its indexer computed them.
+FREE_EVEN_38 = "8f2b511b66be41d434ff8221230072359c400607dc22b712c10e6e28d843943c"
+
+
+def test_free_module_stores_no_action():
+    """The domain of scenario f at T = 38 holds its dimensions and its
+    indexer; with the action tables it held about 1.3 MiB."""
+    alg = AlgebraTable(38)
+    shifts = list(range(2, 39, 2))
+    assert free_module(alg, shifts, 38).digest() == FREE_EVEN_38  # also fills the algebra's tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mod = free_module(alg, shifts, 38)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024, retained
+    assert mod.digest() == FREE_EVEN_38
 
 
 def test_map_from_generators_examples(alg, amod):

@@ -129,6 +129,28 @@ def test_every_method_is_used():
     assert not dead, f"methods nothing in the library calls: {dead}"
 
 
+def _dead_attributes() -> list[str]:
+    """``Class.name`` for each ``self.name`` a library class stores that no
+    library code reads as ``.name``, on any object."""
+    stored, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        stored.add((sub.attr, f"{path.stem}.{node.name}.{sub.attr}"))
+    return sorted(where for name, where in stored if name not in read)
+
+
+def test_every_stored_attribute_is_read():
+    dead = _dead_attributes()
+    assert not dead, f"attributes the library stores and never reads: {dead}"
+
+
 def test_the_cli_does_not_load_the_oracle():
     """Only ``extlab verify`` uses the dense oracle, so ``resolve`` and
     ``scenario`` do not pay for importing it."""

@@ -317,6 +317,22 @@ def test_a_kernel_is_reduced_only_where_a_generator_appears(monkeypatch, build, 
     assert len(calls) == len(gained) > 0
 
 
+def test_a_kernel_vector_outside_the_kernel_stops_the_sweep(monkeypatch):
+    """The d o d guard of minimal_resolution has teeth: with the first
+    kernel vector of each elimination moved off the kernel by a basis vector
+    whose column is nonzero, the sweep raises and names the bidegree."""
+    def spoiled(columns, rows):
+        image, kernel = image_and_kernel(columns, rows)
+        hit = next((j for j, c in enumerate(columns) if c), None)
+        if kernel and hit is not None:
+            kernel[0] ^= 1 << hit
+        return image, kernel
+
+    monkeypatch.setattr(extlab.resolve, "image_and_kernel", spoiled)
+    with pytest.raises(AssertionError, match=r"d o d != 0 on generator 2 at \(s=2, t=4\)"):
+        minimal_resolution(trivial_module(AlgebraTable(14), 14), 6, 14)
+
+
 @st.composite
 def maps_onto_a(draw, max_t=14):
     """A map free:[a, b] -> free:[0] sending the two generators to random
