@@ -1,31 +1,26 @@
 """Degreewise-finite graded left modules over the Steenrod algebra.
 
-A module is its dimensions per degree plus one action per (Sq^k, source
-degree), and nothing else: its basis vectors carry no names.  A map is one
-linear map per degree.  Both are held in the library's one matrix form, the
-column list of :mod:`extlab.f2core` (entry j is the image of basis vector
-j), applied with :func:`~extlab.f2core.combine` and composed with
+A module is its dimensions per degree plus its Sq^k, and nothing else: its
+basis vectors carry no names.  A map is one linear map per degree.  Both are
+held in the library's one matrix form, the column list of
+:mod:`extlab.f2core` (entry j is the image of basis vector j), applied with
+:func:`~extlab.f2core.combine` and composed with
 :func:`~extlab.f2core.compose`; :meth:`GradedModule.digest` hashes their
 rows, from :func:`~extlab.f2core.transpose`.  Free modules, and every P_s
 of a resolution, keep their basis order in a :class:`FreeIndexer`:
 (generator, admissible monomial) in generator-major order.  Its initial
 generators may come in any degree order; ``add_generator``, with which a
 resolution grows, appends in non-decreasing degree.  Its ``map_columns`` is
-the one routine that builds the columns of a map out of a free module, and
-the indexer computes a free module's Sq^k on each call: none is stored.
+the one routine that builds the columns of a map out of a free module.
 
 Everything is only meaningful up to the construction bound ``max_t``:
 consumers must propagate that margin.  Given one
 :class:`~extlab.f2core.Subspace` per degree, a tuple of reduced rows,
 :func:`inclusion_map` builds the submodule and :func:`quotient_map` the
-quotient, each by transport of the action.  :func:`factor_map` cuts a map
-into kernel, image and cokernel through these two builders, and
-:func:`sq1_quotient` builds A//A(0) as a coordinate quotient of A.  A
-submodule's action is read at the pivots of its reduced rows, with no
-membership test.  :func:`factor_map` checks linearity over the generating
-squares on its two projections only: their kernels are the kernel and the
-image, so those checks reject any subspace that some Sq^k leaves, and the
-two inclusions are then linear too.
+quotient, each applying Sq^k through the middle module on every call.
+:func:`factor_map` cuts a map into kernel, image and cokernel through these
+two builders, and :func:`sq1_quotient` builds A//A(0) as a coordinate
+quotient of A, the one module here that stores a table.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .f2core import (
     Subspace,
@@ -56,32 +51,34 @@ class ExactnessError(RuntimeError):
 
 
 class GradedModule:
-    """A graded left module, valid for degrees t <= max_t.
+    """A graded left module, valid for degrees t <= max_t; Sq^k is zero past it.
 
-    ``actions[(k, t)]`` is the column list of Sq^k from degree t to degree
-    t+k; missing keys mean the zero map.  The module keeps the lists it is
-    given, which nobody may change afterwards.  ``free_basis`` is set for
-    free modules: the :class:`FreeIndexer` that orders their basis and
-    computes their action, which the module does not store.
+    Sq^k comes from ``free_basis``, the :class:`FreeIndexer` of a free
+    module; or from ``through`` = (mid, up, down), the column lists into a
+    module mid and back, as down o Sq^k o up; or from the stored column list
+    ``actions[(k, t)]`` of Sq^k from degree t to t+k, where a missing key
+    means the zero map.  The module keeps the lists it is given, which nobody
+    may change afterwards.
     """
 
-    __slots__ = ("algebra", "max_t", "dims", "free_basis", "_actions", "_digest")
+    __slots__ = ("algebra", "max_t", "dims", "free_basis", "_through", "_actions", "_digest")
 
     def __init__(
         self,
         algebra: AlgebraTable,
         max_t: int,
-        dims: Sequence[int],
+        dims: Iterable[int],
         actions: dict[tuple[int, int], list[int]],
         free_basis: Optional[FreeIndexer] = None,
+        through: Optional[tuple[GradedModule, Sequence, Sequence]] = None,
     ):
+        self.dims = tuple(dims)
         if max_t < 0:
             raise ValueError("max_t must be non-negative")
-        if len(dims) != max_t + 1:
+        if len(self.dims) != max_t + 1:
             raise ValueError("dims must cover degrees 0..max_t")
         self.algebra = algebra
         self.max_t = max_t
-        self.dims = tuple(dims)
         for (k, t), cols in actions.items():
             if k < 1 or t < 0 or t + k > max_t:
                 raise ValueError(f"action key ({k},{t}) outside window")
@@ -91,6 +88,7 @@ class GradedModule:
                 raise ValueError(f"action ({k},{t}) has a bit beyond degree {t + k}")
         self._actions = {key: cols for key, cols in actions.items() if any(cols)}
         self.free_basis = free_basis
+        self._through = through
         self._digest: Optional[str] = None
 
     def dim(self, t: int) -> int:
@@ -98,16 +96,24 @@ class GradedModule:
 
     def action(self, k: int, t: int) -> list[int]:
         """Columns of Sq^k, k >= 1, from degree t: zeros when the action is
-        absent or leaves the window."""
-        if self.free_basis is not None and t + k <= self.max_t:
+        absent or leaves the window.  Only a stored table is kept."""
+        if t + k <= self.max_t and self.free_basis is not None:
             return self.free_basis.action_columns(k, t)
+        if t + k <= self.max_t and self._through is not None:
+            mid, up, down = self._through
+            return compose(compose(down[t + k], mid.action(k, t)), up[t])
         cols = self._actions.get((k, t))
         return [0] * self.dims[t] if cols is None else cols
 
     def apply_sq(self, k: int, t: int, vec: int) -> int:
         """Sq^k, k >= 1, on a degree-t vector."""
-        if self.free_basis is not None and t + k <= self.max_t:
+        if not vec or t + k > self.max_t:
+            return 0
+        if self.free_basis is not None:
             return self.free_basis.apply_sq(k, t, vec)
+        if self._through is not None:
+            mid, up, down = self._through
+            return combine(down[t + k], mid.apply_sq(k, t, combine(up[t], vec)))
         cols = self._actions.get((k, t))
         return 0 if cols is None else combine(cols, vec)
 
@@ -311,8 +317,7 @@ def free_module(algebra: AlgebraTable, shifts: Sequence[int], max_t: int) -> Gra
     if any(s < 0 for s in shifts):
         raise ValueError("shifts must be non-negative")
     basis = FreeIndexer(algebra, shifts)
-    dims = [basis.dim(t) for t in range(max_t + 1)]
-    return GradedModule(algebra, max_t, dims, {}, free_basis=basis)
+    return GradedModule(algebra, max_t, map(basis.dim, range(max_t + 1)), {}, free_basis=basis)
 
 
 def map_from_generators(
@@ -400,20 +405,15 @@ def inclusion_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
     products of them; the caller checks it, as :func:`factor_map` does
     through the projection whose kernel the subspaces are.
     """
-    bound = len(subs) - 1
+    rows = tuple(list(s.rows) for s in subs)
     sels = []
     for t, sub in enumerate(subs):
         sel = [0] * mid.dim(t)
         for i, p in enumerate(sub.pivots):
             sel[p] = 1 << i
         sels.append(sel)
-    actions = {
-        (k, t): compose(compose(sels[t + k], mid.action(k, t)), subs[t].rows)
-        for k in range(1, bound + 1)
-        for t in range(0, bound - k + 1)
-    }
-    sub = GradedModule(mid.algebra, bound, [s.rank for s in subs], actions)
-    return ModuleMap(sub, mid, tuple(list(s.rows) for s in subs))
+    sub = GradedModule(mid.algebra, len(subs) - 1, map(len, rows), {}, through=(mid, rows, sels))
+    return ModuleMap(sub, mid, rows)
 
 
 def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
@@ -421,17 +421,12 @@ def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
     degree-t part is ``subs[t]``, on the window 0..len(subs) - 1.
 
     The quotient's basis is the canonical complement of ``quotient_section``:
-    the basis vectors of ``mid`` at no pivot, in order.  Callers check that
-    the subspaces are a submodule.
+    the basis vectors of ``mid`` at no pivot, in order, which are also the
+    columns up into ``mid``.  Callers check that the subspaces are a submodule.
     """
-    bound = len(subs) - 1
-    projs, frees = zip(*(quotient_section(mid.dim(t), subs[t]) for t in range(bound + 1)))
-    actions = {}
-    for k in range(1, bound + 1):
-        for t in range(0, bound - k + 1):
-            act = mid.action(k, t)
-            actions[(k, t)] = [combine(projs[t + k], act[j]) for j in frees[t]]
-    quot = GradedModule(mid.algebra, bound, [len(free) for free in frees], actions)
+    projs, frees = zip(*(quotient_section(mid.dim(t), sub) for t, sub in enumerate(subs)))
+    ups = [[1 << j for j in free] for free in frees]
+    quot = GradedModule(mid.algebra, len(subs) - 1, map(len, ups), {}, through=(mid, ups, projs))
     return ModuleMap(mid, quot, projs)
 
 
@@ -482,7 +477,8 @@ def sq1_quotient(algebra: AlgebraTable, max_t: int) -> ModuleMap:
     otherwise.  So the quotient keeps the other admissible monomials, and
     its action is "multiply, then drop the terms that end in Sq^1".  Their
     coordinate span is already reduced: row ``1 << i`` has pivot i.  The
-    linearity check guards that the span is a left ideal.
+    table is stored, so that the modules built through A//A(0) sit one level
+    above a table.  The linearity check guards that the span is a left ideal.
     """
     free = free_module(algebra, [0], max_t)
     subs = []
@@ -490,5 +486,8 @@ def sq1_quotient(algebra: AlgebraTable, max_t: int) -> ModuleMap:
         ends = [i for i, mono in enumerate(algebra.basis(t)) if mono and mono[-1] == 1]
         subs.append(Subspace(free.dim(t), [1 << i for i in ends], tuple(ends)))
     p = quotient_map(free, subs)
+    window = [(k, t) for k in range(1, max_t + 1) for t in range(max_t - k + 1)]
+    actions = {key: p.codomain.action(*key) for key in window}
+    p = ModuleMap(free, GradedModule(algebra, max_t, p.codomain.dims, actions), p.columns)
     p.check_linearity(ks=_generating_squares(max_t))
     return p

@@ -147,6 +147,7 @@ def horseshoe_lift(
         )
 
     for s in range(1, max_s + 1):
+        solvers.clear()  # a solver is read only during its own s
         lift.tau.append([])
         for h, th in enumerate(res_quot.indexers[s].gen_degrees):
             dvec = res_quot.targets[s][h]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.f2core import combine, compose, image_and_kernel, reduced
+from extlab.f2core import combine, compose, image_and_kernel, quotient_section, reduced
 from extlab.gradedmod import (
     ExactnessError,
     FreeIndexer,
@@ -21,7 +21,7 @@ from extlab.gradedmod import (
 from extlab.oracle import reduce_word
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
-from f2ref import subspace_from_rows
+from f2ref import BitMatrix, kernel_basis, subspace_from_rows
 
 MAX_T = 14
 
@@ -292,6 +292,104 @@ def test_induced_actions_read_through_the_pivots(kind, n):
                 assert sub.action(k, t) == reference, (k, t)
     for mp in (fac.i_K, fac.p_I, fac.i_I, fac.p_C):
         mp.check_linearity()
+
+
+def _window(max_t):
+    return [(k, t) for k in range(1, max_t + 1) for t in range(max_t - k + 1)]
+
+
+def _eager_sub_actions(incl):
+    """Every Sq^k of a submodule by the formula that stored it as a table:
+    the pivot read compose(compose(sel, Sq^k), rows)."""
+    sub, mid = incl.domain, incl.codomain
+    subs = [subspace_from_rows(cols, mid.dim(t)) for t, cols in enumerate(incl.columns)]
+    sels = [[0] * mid.dim(t) for t in range(sub.max_t + 1)]
+    for t, space in enumerate(subs):
+        for i, p in enumerate(space.pivots):
+            sels[t][p] = 1 << i
+    return sub, {
+        (k, t): compose(compose(sels[t + k], mid.action(k, t)), list(subs[t].rows))
+        for k, t in _window(sub.max_t)
+    }
+
+
+def _eager_quotient_actions(proj):
+    """Every Sq^k of a quotient by the formula that stored it as a table: the
+    projection of Sq^k of each coordinate at no pivot of the kernel."""
+    mid, quot = proj.domain, proj.codomain
+    frees = []
+    for t, cols in enumerate(proj.columns):
+        kernel = kernel_basis(BitMatrix.from_columns(cols, quot.dim(t)))
+        projs, free = quotient_section(mid.dim(t), kernel)
+        assert projs == cols, t
+        frees.append(free)
+    return quot, {
+        (k, t): [combine(proj.columns[t + k], mid.action(k, t)[j]) for j in frees[t]]
+        for k, t in _window(quot.max_t)
+    }
+
+
+@pytest.fixture(scope="module")
+def transported_at_20():
+    """K, I and C of f, fnz (n = 4) and f-conj at (8, 20), and A//A(0), each
+    with its Sq^k by the eager formulas."""
+    alg = AlgebraTable(20)
+    out = [_eager_quotient_actions(sq1_quotient(alg, 20))]
+    for kind, n in [("f", None), ("fnz", 4), ("f-conj", None)]:
+        fac = factor_map(scenario_map(ScenarioSpec(kind, 8, 20, n), alg))
+        out += [_eager_sub_actions(fac.i_K), _eager_sub_actions(fac.i_I),
+                _eager_quotient_actions(fac.p_C)]
+    return out
+
+
+def test_transported_actions_match_the_eager_tables(transported_at_20):
+    """K, I and C apply Sq^k through their middle module and A//A(0) stores a
+    table built from its transported quotient: every Sq^k in the window is
+    the table the eager formula builds, and past it both are zero."""
+    for mod, eager in transported_at_20:
+        for (k, t), cols in eager.items():
+            assert mod.action(k, t) == cols, (k, t)
+        for t in range(mod.max_t + 1):
+            top = (1 << mod.dim(t)) - 1
+            assert mod.action(mod.max_t - t + 1, t) == [0] * mod.dim(t)
+            assert mod.apply_sq(mod.max_t - t + 1, t, top) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_transported_apply_sq_is_the_action(transported_at_20, data):
+    mod, eager = data.draw(st.sampled_from(transported_at_20))
+    k, t = data.draw(st.sampled_from(sorted(eager)))
+    v = data.draw(st.integers(0, (1 << mod.dim(t)) - 1))
+    assert mod.apply_sq(k, t, v) == combine(mod.action(k, t), v) == combine(eager[(k, t)], v)
+
+
+# sha256 of K, I and C of scenario f at T = 38, taken from the stored action
+# tables that the modules kept before they applied Sq^k through D and A//A(0).
+F_38_FACTORS = (
+    "7c767a850895eae2f6a12c30371a98849132038413cfc7260c1dc6102d5375ff",
+    "38bbbacde41fe420601ddb89ae4b6f99bb5dd86e333618ded5c0868435a5678b",
+    "7cdcc9179ba0cbf5767710f8acc284fc81e237df89ea00e3df0184f38075674e",
+)
+
+
+def test_factored_modules_store_no_action():
+    """K, I and C of scenario f at T = 38 hold their dimensions and the column
+    lists into their middle module and back; with the action tables,
+    factor_map retained about 1.6 MiB beyond f."""
+    f = scenario_map(ScenarioSpec("f", 14, 38), AlgebraTable(38))
+    first = factor_map(f)  # also fills the algebra's tables
+    assert (first.K.digest(), first.I.digest(), first.C.digest()) == F_38_FACTORS
+    del first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fac = factor_map(f)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1024 * 1024, retained
+    assert (fac.K.digest(), fac.I.digest(), fac.C.digest()) == F_38_FACTORS
 
 
 def test_image_that_is_no_submodule_is_rejected(alg, amod):
