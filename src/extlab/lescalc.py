@@ -3,16 +3,15 @@
 Given a short exact sequence 0 -> sub -> mid -> quot -> 0 and minimal
 resolutions P(sub), P(quot) of the outer terms, the horseshoe construction
 splices them into a resolution Q_s = P_s(sub) (+) P_s(quot) of the middle.
-The off-diagonal block tau_s : P_s(quot) -> P_{s-1}(sub) is found degreewise
-by canonical solves of
+Its off-diagonal blocks tau_s are found degreewise by canonical solves of
 
-    d^sub o tau_{s+1} = tau_s o d^quot        (s >= 1)
-    incl o aug_sub o tau_1 = sigma o d^quot_1
+    e_{s-1} o tau_s = tau_{s-1} o d^quot_s        (s >= 1)
 
-where sigma lifts the augmentation of quot through the projection.  Because
-both resolutions are minimal the dualized differentials vanish, and the
-connecting map is simply  d[phi] = [phi o tau]: its matrix entry is the
-unit coefficient of a sub-generator in tau of a quot-generator.
+where tau_0 = sigma lifts the augmentation of quot through the projection,
+e_0 = incl o aug_sub, and e_s = d^sub_s.  Both resolutions being minimal,
+the dualized differentials vanish, and the connecting map is simply
+d[phi] = [phi o tau]: its matrix entry is the unit coefficient of a
+sub-generator in tau of a quot-generator.
 
 The composite of two boundary maps is taken per bidegree; the suspension
 re-indexing that presents it as a map out of Ext(desuspended sub) happens
@@ -37,11 +36,11 @@ class LiftError(RuntimeError):
 class ChainLift:
     """Horseshoe data for one short exact sequence.
 
-    ``sigma[g]`` lifts the augmentation image of the g-th generator of
-    P_0(quot) into the middle module; ``tau[s][h]`` (s >= 1) is the value of
-    the splice homotopy on the h-th generator of P_s(quot), a vector over
-    the degree basis of P_{s-1}(sub).  Maps are handed out as column lists
-    (see :mod:`extlab.f2core`).
+    ``sigma[g]`` = tau_0(g) lifts the augmentation image of the g-th
+    generator of P_0(quot) into the middle module; ``tau[s][h]`` (s >= 1) is
+    the value of the splice homotopy on the h-th generator of P_s(quot), a
+    vector over the degree basis of P_{s-1}(sub).  Maps are handed out as
+    column lists (see :mod:`extlab.f2core`).
     """
 
     def __init__(self, ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution):
@@ -49,8 +48,7 @@ class ChainLift:
         self.res_sub = res_sub
         self.res_quot = res_quot
         self.sigma: list[int] = []
-        self.tau: list[list[int]] = [[]]  # tau[0] unused
-        self._sigma_cols: dict[int, list[int]] = {}
+        self.tau: list[list[int]] = [[]]  # tau_0 is sigma
         self._tau_cols: dict[int, dict[int, list[int]]] = {}
 
     @property
@@ -61,56 +59,59 @@ class ChainLift:
     def max_t(self) -> int:
         return self.res_sub.max_t
 
-    def sigma_columns(self, t: int) -> list[int]:
-        """Columns of sigma from (P_0 quot)_t to mid_t."""
-        return self.res_quot.indexers[0].map_columns(
-            t, self.sigma, self.ses.mid.apply_sq, self._sigma_cols
-        )
+    def tau_codomain(self, s: int):
+        """Where tau_s lands: mid for s = 0, P_{s-1}(sub) after."""
+        return self.ses.mid if s == 0 else self.res_sub.indexers[s - 1]
 
     def tau_columns(self, s: int, t: int) -> list[int]:
-        """Columns of tau_s from (P_s quot)_t to (P_{s-1} sub)_t."""
+        """Columns of tau_s from (P_s quot)_t to its codomain in degree t."""
         return self.res_quot.indexers[s].map_columns(
-            t, self.tau[s], self.res_sub.indexers[s - 1].apply_sq,
+            t, self.tau[s] if s else self.sigma, self.tau_codomain(s).apply_sq,
             self._tau_cols.setdefault(s, {}),
         )
+
+    def e_columns(self, s: int, t: int) -> list[int]:
+        """Columns of e_s from (P_s sub)_t to the codomain of tau_s."""
+        d = self.res_sub.diff_columns(s, t)
+        return compose(self.ses.inclusion.columns[t], d) if s == 0 else d
 
     # -- invariants ---------------------------------------------------------
 
     def verify(self) -> None:
-        """Base surjectivity, and the tau recurrences on generators.
+        """Surjectivity of eps = [e_0 | sigma], and the recurrence on generators.
 
         Mod 2, d^Q o d^Q = [[d d, d tau + tau d], [0, d d]] and
-        eps o d^Q_1 = [incl aug d_1, incl aug tau_1 + sigma d_1].  The
-        off-diagonal blocks are the recurrences, and d o d = 0 on both
-        resolutions is certified when they are built or loaded, so the
-        horseshoe differential needs no check of its own.  Both sides of a
+        eps o d^Q_1 = [e_0 d_1, e_0 tau_1 + sigma d_1].  The off-diagonal
+        blocks are the recurrence, and d o d = 0 on both resolutions is
+        certified when they are built or loaded, so the horseshoe
+        differential needs no check of its own.  Both sides of the
         recurrence are A-linear maps out of the free module P_s(quot), so
         they agree iff they agree on generators: each h is checked once, in
         its degree, on columns the lift built to solve for tau_s(h).
-        Surjectivity is checked in every degree.
         """
-        ses, rs, rq = self.ses, self.res_sub, self.res_quot
+        rq = self.res_quot
         for t in range(self.max_t + 1):
-            eps = compose(ses.inclusion.columns[t], rs.diff_columns(0, t)) + self.sigma_columns(t)
-            if f2rank(eps) != ses.mid.dim(t):
+            below = self.e_columns(0, t)
+            if f2rank(below + self.tau_columns(0, t)) != self.ses.mid.dim(t):
                 raise AssertionError(f"horseshoe base not surjective at degree {t}")
-        for s in range(1, self.max_s + 1):
-            for h, t in enumerate(rq.indexers[s].gen_degrees):
-                tau_h, d_h = self.tau[s][h], rq.targets[s][h]
-                if s == 1:
-                    lhs = combine(ses.inclusion.columns[t], combine(rs.diff_columns(0, t), tau_h))
-                    rhs = combine(self.sigma_columns(t), d_h)
-                else:
-                    lhs = combine(rs.diff_columns(s - 1, t), tau_h)
-                    rhs = combine(self.tau_columns(s - 1, t), d_h)
-                if lhs != rhs:
-                    raise AssertionError(f"tau recurrence fails on generator {h} at (s={s}, t={t})")
+            for s in range(1, self.max_s + 1):
+                gens = rq.indexers[s].gens_in_degree(t)
+                if gens:
+                    tau_below = self.tau_columns(s - 1, t)
+                    for h in gens:
+                        if combine(below, self.tau[s][h]) != combine(tau_below, rq.targets[s][h]):
+                            raise AssertionError(
+                                f"tau recurrence fails on generator {h} at (s={s}, t={t})"
+                            )
+                below = self.e_columns(s, t)
 
 
 def horseshoe_lift(
     ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution
 ) -> ChainLift:
-    """Construct sigma and tau by canonical degreewise solves."""
+    """Construct sigma and tau by canonical degreewise solves.  As the
+    inclusion is injective, ker(e_0) = ker(aug_sub): solving for tau_1 in one
+    step gives what solving through the inclusion, then aug_sub, gives."""
     if res_sub.module_hash != ses.sub.digest():
         raise ValueError("res_sub does not resolve the subobject of the sequence")
     if res_quot.module_hash != ses.quot.digest():
@@ -118,47 +119,29 @@ def horseshoe_lift(
     if (res_sub.max_s, res_sub.max_t) != (res_quot.max_s, res_quot.max_t):
         raise ValueError("resolutions must share bounds")
     lift = ChainLift(ses, res_sub, res_quot)
-    max_s, max_t = res_sub.max_s, res_sub.max_t
 
-    solvers: dict[tuple, Solver] = {}
-
-    def preimage(key: tuple, b: int, what: str) -> int:
-        """Canonical x with m @ x = b in degree t, where key = (m, t) names
-        m: "projection" or "inclusion" of the sequence, or s for d_s of
-        res_sub.  Each key's solver is built once."""
-        solver = solvers.get(key)
-        if solver is None:
-            m, t = key
-            if isinstance(m, str):
-                mp = getattr(ses, m)
-                solver = Solver(mp.columns[t], mp.codomain.dim(t))
-            else:
-                solver = Solver(res_sub.diff_columns(m, t), res_sub.ambient_dim(m, t))
-            solvers[key] = solver
+    def preimage(solver: Solver, b: int, where: str) -> int:
         x = solver.solve(b)
         if x is None:
-            raise LiftError(f"{what} unsolvable")
+            raise LiftError(f"{where} unsolvable")
         return x
 
-    # sigma on generators of P_0(quot)
-    for g, tg in enumerate(res_quot.indexers[0].gen_degrees):
-        lift.sigma.append(
-            preimage(("projection", tg), res_quot.targets[0][g], f"projection lift at t={tg}")
-        )
+    proj = ses.projection
+    solvers: dict[int, Solver] = {}  # by degree
+    for g, t in enumerate(res_quot.indexers[0].gen_degrees):
+        if t not in solvers:
+            solvers[t] = Solver(proj.columns[t], proj.codomain.dim(t))
+        lift.sigma.append(preimage(solvers[t], res_quot.targets[0][g], f"projection lift at t={t}"))
 
-    for s in range(1, max_s + 1):
-        solvers.clear()  # a solver is read only during its own s
+    for s in range(1, res_sub.max_s + 1):
+        solvers.clear()  # now one solver of e_{s-1} per degree, read only during this s
+        target = lift.tau_codomain(s - 1)
         lift.tau.append([])
-        for h, th in enumerate(res_quot.indexers[s].gen_degrees):
-            dvec = res_quot.targets[s][h]
-            if s == 1:
-                w = combine(lift.sigma_columns(th), dvec)
-                v = preimage(("inclusion", th), w, f"inclusion preimage at t={th}")
-            else:
-                v = combine(lift.tau_columns(s - 1, th), dvec)
-            lift.tau[s].append(
-                preimage((s - 1, th), v, f"chain-lift recurrence at (s={s}, t={th})")
-            )
+        for h, t in enumerate(res_quot.indexers[s].gen_degrees):
+            if t not in solvers:
+                solvers[t] = Solver(lift.e_columns(s - 1, t), target.dim(t))
+            v = combine(lift.tau_columns(s - 1, t), res_quot.targets[s][h])
+            lift.tau[s].append(preimage(solvers[t], v, f"chain-lift recurrence at (s={s}, t={t})"))
     return lift
 
 

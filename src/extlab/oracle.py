@@ -156,7 +156,8 @@ class _Level:
         return len(self.elements(t))
 
     def elements(self, t: int) -> list[tuple[int, Word]]:
-        assert self.gen_degrees is not None
+        if self.gen_degrees is None:
+            raise TypeError("the module level has no free basis to enumerate")
         got = self._elements.get(t)
         if got is None:
             got = [

@@ -76,7 +76,8 @@ def _admissible_words(t: int) -> tuple[Monomial, ...]:
 @lru_cache(maxsize=None)
 def _adem_pair(a: int, b: int) -> tuple[Monomial, ...]:
     """Admissible-side terms of the Adem relation for the pair Sq^a Sq^b."""
-    assert 0 < a < 2 * b
+    if not 0 < a < 2 * b:
+        raise ValueError(f"Sq^{a} Sq^{b} is admissible: no Adem relation applies")
     terms = []
     for c in range(0, a // 2 + 1):
         if binom_mod2(b - c - 1, a - 2 * c):

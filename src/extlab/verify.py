@@ -61,6 +61,12 @@ class SuiteReport:
             )
 
 
+def _require(ok: bool, detail: object = "") -> None:
+    """A failed check, raised explicitly so that ``python -O`` keeps it."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def free_chart(shifts, max_s: int, max_t: int) -> ExtChart:
     """Closed-form chart of a sum of suspended free modules."""
     dims = [[0] * (max_t + 1) for _ in range(max_s + 1)]
@@ -83,13 +89,15 @@ def suite_steenrod(report: SuiteReport) -> None:
         return sum(1 << alg.index(w) for w in words)
 
     def dims_vs_partition_oracle():
-        assert [alg.dim(t) for t in range(top + 1)] == milnor_basis_dims(top)
+        _require([alg.dim(t) for t in range(top + 1)] == milnor_basis_dims(top))
 
+    # a degree-N word rewrites only into degree-N words: clear the cache per N
     def sq_tables_vs_oracle():
-        for n in range(top):
-            for k in range(1, top - n + 1):
-                for m, col in zip(alg.basis(n), alg.sq_columns(k, n)):
-                    assert col == coords(reduce_word((k,) + m)), (k, m)
+        for total in range(1, top + 1):
+            for k in range(1, total + 1):
+                for m, col in zip(alg.basis(total - k), alg.sq_columns(k, total - k)):
+                    _require(col == coords(reduce_word((k,) + m)), (k, m))
+            reduce_word.cache_clear()
 
     def antipode_recursion():
         for n in range(1, top + 1):
@@ -99,13 +107,14 @@ def suite_steenrod(report: SuiteReport) -> None:
                 for j, m in enumerate(alg.basis(n - i)):
                     if chi >> j & 1:
                         acc ^= coords(reduce_word((i,) + m))
-            assert acc == 0, n
+            _require(acc == 0, n)
+            reduce_word.cache_clear()
 
     report.run("steenrod", f"basis dims vs partition oracle to degree {top}", dims_vs_partition_oracle)
     report.run("steenrod", f"every Sq^k table entry to degree {top} vs the oracle's Adem rewriting",
                sq_tables_vs_oracle)
     report.run("steenrod", f"sum_i Sq^i chi(Sq^(n-i)) = 0 for n <= {top}", antipode_recursion)
-    reduce_word.cache_clear()  # the checks leave about 115k words in it, some 50 MB
+    reduce_word.cache_clear()  # a check that failed left its degree's words in it
 
 
 # -- resolution --------------------------------------------------------------
@@ -124,25 +133,25 @@ def suite_resolution(report: SuiteReport) -> None:
         dims = oracle_ext_dims("f2", 8, 20)
         chart = res_f2.chart()
         for (s, t), d in dims.items():
-            assert chart.dim(s, t) == d, (s, t, chart.dim(s, t), d)
+            _require(chart.dim(s, t) == d, (s, t, chart.dim(s, t), d))
 
     def oracle_quotient():
         dims = oracle_ext_dims("a-mod-sq1", 8, 20)
         chart = res_q.chart()
         for (s, t), d in dims.items():
-            assert chart.dim(s, t) == d, (s, t, chart.dim(s, t), d)
+            _require(chart.dim(s, t) == d, (s, t, chart.dim(s, t), d))
 
     def h_family():
         chart = res_f2.chart()
         for t in range(21):
             want = 1 if t in (1, 2, 4, 8, 16) else 0
-            assert chart.dim(1, t) == want, (t, chart.dim(1, t))
+            _require(chart.dim(1, t) == want, (t, chart.dim(1, t)))
 
     def tower():
         chart = res_q.chart()
         for s in range(11):
             for t in range(25):
-                assert chart.dim(s, t) == (1 if s == t else 0), (s, t)
+                _require(chart.dim(s, t) == (1 if s == t else 0), (s, t))
 
     def invariants():
         for res in (res_f2, res_q):
@@ -150,7 +159,7 @@ def suite_resolution(report: SuiteReport) -> None:
 
     def determinism():
         again = minimal_resolution(trivial_module(alg, 20), 8, 20)
-        assert serialize_resolution(again) == serialize_resolution(res_f2)
+        _require(serialize_resolution(again) == serialize_resolution(res_f2))
 
     def cache_round_trip():
         import os
@@ -163,7 +172,7 @@ def suite_resolution(report: SuiteReport) -> None:
             path2 = os.path.join(d, "r2.extres")
             save_resolution(loaded, path2)
             with open(path, "rb") as a, open(path2, "rb") as b:
-                assert a.read() == b.read()
+                _require(a.read() == b.read())
 
     report.run("resolution", "Ext(F2) to (8,20) matches the dense oracle", oracle_f2)
     report.run("resolution", "Ext(A/ASq1) to (8,20) matches the dense oracle", oracle_quotient)
@@ -200,23 +209,23 @@ def suite_les(report: SuiteReport) -> None:
     def free_middle_isos():
         for s in range(0, max_s):
             for t in range(0, max_t + 1):
-                assert d_ik.is_iso(s, t), ("d_IK", s, t)
-                assert d_ci.is_iso(s, t), ("d_CI", s, t)
+                _require(d_ik.is_iso(s, t), ("d_IK", s, t))
+                _require(d_ci.is_iso(s, t), ("d_CI", s, t))
 
     def rank_alternation():
         rep1 = les_exactness_report(d_ik, res_k.chart(), free_chart([2], max_s, max_t), res_i.chart())
-        assert rep1.ok, rep1.violations()[:3]
+        _require(rep1.ok, rep1.violations()[:3])
         rep2 = les_exactness_report(d_ci, res_i.chart(), free_chart([0], max_s, max_t), res_c.chart())
-        assert rep2.ok, rep2.violations()[:3]
+        _require(rep2.ok, rep2.violations()[:3])
 
     def composite_bidegree():
         beta = compose_boundaries(d_ik, d_ci)
         for s in range(0, beta.max_s + 1):
             for t in range(0, beta.max_t + 1):
-                assert beta.shape(s, t) == (
+                _require(beta.shape(s, t) == (
                     res_c.chart().dim(s + 2, t + 1),
                     res_k.chart().shift_t(-1).dim(s, t),
-                ), (s, t)
+                ), (s, t))
 
     report.run("les", "horseshoe lifts satisfy d^Q o d^Q = 0", horseshoe_invariants)
     report.run("les", "free middle forces boundary isomorphisms", free_middle_isos)
@@ -232,9 +241,9 @@ def suite_scenarios(report: SuiteReport) -> None:
 
     def run_kind(spec: ScenarioSpec):
         result = build_scenario(spec)
-        assert result.ok, result.hypothesis.violations()[:3]
+        _require(result.ok, result.hypothesis.violations()[:3])
         diff = verify_scenario(result)
-        assert diff == [], diff[:5]
+        _require(diff == [], diff[:5])
         built[spec] = result
         return result
 
@@ -247,7 +256,7 @@ def suite_scenarios(report: SuiteReport) -> None:
     def big():
         result = run_kind(ScenarioSpec("f", 8, 18))
         rep = kernel_image_lemma_check(result)
-        assert rep.ok, rep.violations()[:3]
+        _require(rep.ok, rep.violations()[:3])
 
     def projection_filtration():
         big_spec = ScenarioSpec("f", 8, 18)
@@ -255,12 +264,12 @@ def suite_scenarios(report: SuiteReport) -> None:
         singles = [run_kind(ScenarioSpec("fnz", 6, 2 * i + 10, n=2 * i)) for i in range(1, 5)]
         for d in compare_projection_filtration(big_f, singles, require=[1, 2, 3, 4]):
             raised = 0 if d.i & (d.i - 1) == 0 else 1
-            assert d.filt_single - d.filt_big == raised, d
+            _require(d.filt_single - d.filt_big == raised, d)
 
     def conjugate_matches():
         a = run_kind(ScenarioSpec("f", 6, 14))
         b = run_kind(ScenarioSpec("f-conj", 6, 14))
-        assert a.e3 == b.e3
+        _require(a.e3 == b.e3)
 
     report.run("scenarios", "mod-2 single square collapses to two classes", single_mod2)
     report.run("scenarios", "integral single square collapses to tower + class", single_integral)

@@ -3,6 +3,9 @@ import io
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -247,6 +250,31 @@ def test_verify_records_a_pipeline_error_as_a_failed_check(capsys, tmp_path, mon
     checks = {c["name"]: c for c in doc["checks"]}
     assert [c["passed"] for c in doc["checks"]].count(False) == 1
     assert checks["conjugated fiber gives the identical page"]["passed"]  # ran after the failure
+
+
+_OFF_BY_ONE_ORACLE = """
+import sys
+from extlab import oracle
+from extlab.cli import main
+exact = oracle.oracle_ext_dims
+oracle.oracle_ext_dims = lambda *args: {key: d + 1 for key, d in exact(*args).items()}
+sys.exit(main(["verify", "--suite", "resolution"]))
+"""
+
+
+def test_verify_fails_a_wrong_oracle_under_python_O():
+    # python -O strips assert statements; the suites' checks must not vanish with them
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OFF_BY_ONE_ORACLE],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert [line.rpartition(" (")[0] for line in failed] == [
+        "[FAIL] resolution: Ext(F2) to (8,20) matches the dense oracle",
+        "[FAIL] resolution: Ext(A/ASq1) to (8,20) matches the dense oracle",
+    ]
 
 
 F2_6_14 = ["resolve", "--module", "f2", "--max-s", "6", "--max-t", "14", "--format", "json"]

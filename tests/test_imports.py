@@ -151,6 +151,18 @@ def test_every_stored_attribute_is_read():
     assert not dead, f"attributes the library stores and never reads: {dead}"
 
 
+def test_no_assert_statements():
+    """``python -O`` strips assert statements, so a check written as one
+    would pass vacuously: the library raises explicitly."""
+    found = {
+        path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Assert)]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"assert statements (file: lines): {found}"
+
+
 def test_the_cli_does_not_load_the_oracle():
     """Only ``extlab verify`` uses the dense oracle, so ``resolve`` and
     ``scenario`` do not pay for importing it."""

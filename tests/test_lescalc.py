@@ -1,9 +1,10 @@
+import copy
 import hashlib
 import random
 
 import pytest
 
-from extlab.f2core import compose
+from extlab.f2core import combine, compose
 from extlab.gradedmod import (
     GradedModule,
     ModuleMap,
@@ -25,7 +26,7 @@ from extlab.resolve import ExtChart, minimal_resolution
 from extlab.scenarios import ScenarioSpec, build_scenario, scenario_map
 from extlab.steenrod import AlgebraTable
 from extlab.verify import free_chart
-from f2ref import BitMatrix
+from f2ref import BitMatrix, solve
 
 MAX_S, MAX_T = 6, 14
 
@@ -200,6 +201,49 @@ def test_lift_error_on_non_exact_sequence(alg):
         horseshoe_lift(ses, res_sub, res_quot)
 
 
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec("fn", 8, 20, n=2),
+    ScenarioSpec("fnz", 8, 20, n=4),
+    ScenarioSpec("f", 8, 20),
+    ScenarioSpec("f-conj", 8, 20),
+], ids=ScenarioSpec.describe)
+def test_tau_1_is_the_two_step_solve(spec):
+    """Solving tau_1 through e_0 = incl o aug in one step gives what solving
+    through the inclusion, then through aug, gives with full Gauss-Jordan."""
+    fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
+    res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
+    nonzero = 0
+    for ses, rs, rq in (
+        (fac.kernel_sequence(), res[0], res[1]),
+        (fac.cokernel_sequence(), res[1], res[2]),
+    ):
+        lift = horseshoe_lift(ses, rs, rq)
+        two_step = []
+        for h, t in enumerate(rq.indexers[1].gen_degrees):
+            w = combine(lift.tau_columns(0, t), rq.targets[1][h])
+            incl = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t))
+            aug = BitMatrix.from_columns(rs.diff_columns(0, t), rs.ambient_dim(0, t))
+            two_step.append(solve(aug, solve(incl, w)))
+        assert lift.tau[1] == two_step
+        nonzero += sum(map(bool, two_step))
+    assert nonzero >= 2
+
+
+def test_lift_error_names_the_degree_where_sigma_d_1_leaves_e_0(fn_setup):
+    # flip a bit of d_1(h) that the augmentation sees: then aug o d_1(h) != 0,
+    # so sigma o d_1(h) is outside ker(projection) = im(e_0)
+    fac, res_k, res_i, _ = fn_setup
+    h, t, bit = next(
+        (h, t, bit) for h, t in enumerate(res_i.indexers[1].gen_degrees)
+        for bit, c in enumerate(res_i.diff_columns(0, t)) if c
+    )
+    bad = copy.copy(res_i)
+    bad.targets = [list(level) for level in res_i.targets]
+    bad.targets[1][h] ^= 1 << bit
+    with pytest.raises(LiftError, match=rf"\(s=1, t={t}\) unsolvable"):
+        horseshoe_lift(fac.kernel_sequence(), res_k, bad)
+
+
 def _permuted_copy(module: GradedModule, seed: int) -> tuple[GradedModule, list[list[int]]]:
     """An isomorphic module with each degree's basis shuffled."""
     rng = random.Random(seed)
@@ -269,7 +313,7 @@ def _block_check(lift):
     for t in range(lift.max_t + 1):
         incl_aug = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t)) @ (
             BitMatrix.from_columns(rs.diff_columns(0, t), rs.ambient_dim(0, t)))
-        prev = BitMatrix.from_columns(incl_aug.columns() + lift.sigma_columns(t), ses.mid.dim(t))
+        prev = BitMatrix.from_columns(incl_aug.columns() + lift.tau_columns(0, t), ses.mid.dim(t))
         for s in range(1, lift.max_s + 1):
             cur = _horseshoe_by_row_matrices(lift, s, t)
             if any((prev @ cur).data):
@@ -306,12 +350,8 @@ def test_verify_agrees_with_horseshoe_block_check(alg):
         for s in range(1, 4):
             flipped = 0
             for h, th in enumerate(res_quot.indexers[s].gen_degrees):
-                # the map that tau_s(h) is pushed through by its recurrence
-                if s == 1:
-                    below = compose(ses.inclusion.columns[th], res_sub.diff_columns(0, th))
-                else:
-                    below = res_sub.diff_columns(s - 1, th)
-                for bit, c in enumerate(below):
+                # e_{s-1}, the map that tau_s(h) is pushed through by its recurrence
+                for bit, c in enumerate(lift.e_columns(s - 1, th)):
                     bad = _with_tau_bit_flipped(lift, s, h, bit)
                     raised = _raises(bad.verify)
                     assert raised == _raises(lambda: _block_check(bad)), (s, h, bit)
@@ -323,7 +363,8 @@ def test_verify_agrees_with_horseshoe_block_check(alg):
 
 
 def test_verify_builds_no_tau_columns():
-    # the generator check reads only the columns the lift built for its solves
+    # the generator check reads only the columns the lift built for its solves;
+    # the base check reads sigma = tau_0 in every degree, so s = 0 is left out
     spec = ScenarioSpec("f", 8, 18)
     fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
     res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
@@ -332,9 +373,9 @@ def test_verify_builds_no_tau_columns():
         (fac.cokernel_sequence(), res[1], res[2]),
     ):
         lift = horseshoe_lift(ses, res_sub, res_quot)
-        built = {s: dict(cols) for s, cols in lift._tau_cols.items()}
+        built = {s: dict(cols) for s, cols in lift._tau_cols.items() if s}
         lift.verify()
-        assert lift._tau_cols == built
+        assert {s: cols for s, cols in lift._tau_cols.items() if s} == built
 
 
 def test_verify_names_a_broken_base_or_tau_1(fn_setup):
