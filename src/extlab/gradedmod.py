@@ -193,10 +193,10 @@ class FreeIndexer:
 
     The blocks of each degree, and the offset of every generator in it, are
     tabulated on first use: ``offsets[g]`` is where generator g's block
-    starts (or would start), ``offsets[-1]`` the dimension.
-    ``add_generator`` clears the table, because a new generator changes
-    every degree at or above its own.  Sq^k acts block by block through the
-    algebra's ``sq_columns`` tables, shifted to the block's offset.
+    starts (or would start), ``offsets[-1]`` the dimension.  A new
+    generator's block comes last, so ``add_generator`` extends each degree
+    in place.  Sq^k acts block by block through the algebra's
+    ``sq_columns`` tables, shifted to the block's offset.
     """
 
     __slots__ = ("algebra", "gen_degrees", "_table")
@@ -209,8 +209,13 @@ class FreeIndexer:
     def add_generator(self, t: int) -> int:
         if self.gen_degrees and t < self.gen_degrees[-1]:
             raise ValueError("generators must be added in non-decreasing degree")
+        for u, (blocks, offsets) in self._table.items():
+            end = offsets[-1]
+            if u >= t:
+                blocks.append((len(self.gen_degrees), t, end))
+                end += self.algebra.dim(u - t)
+            offsets.append(end)
         self.gen_degrees.append(t)
-        self._table.clear()
         return len(self.gen_degrees) - 1
 
     def gens_in_degree(self, t: int) -> list[int]:

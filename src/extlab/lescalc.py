@@ -112,10 +112,10 @@ def horseshoe_lift(
     """Construct sigma and tau by canonical degreewise solves.  As the
     inclusion is injective, ker(e_0) = ker(aug_sub): solving for tau_1 in one
     step gives what solving through the inclusion, then aug_sub, gives."""
-    if res_sub.module_hash != ses.sub.digest():
-        raise ValueError("res_sub does not resolve the subobject of the sequence")
-    if res_quot.module_hash != ses.quot.digest():
-        raise ValueError("res_quot does not resolve the quotient of the sequence")
+    if res_sub.module is not ses.sub:
+        raise ValueError("res_sub does not resolve the sequence's own sub module object")
+    if res_quot.module is not ses.quot:
+        raise ValueError("res_quot does not resolve the sequence's own quot module object")
     if (res_sub.max_s, res_sub.max_t) != (res_quot.max_s, res_quot.max_t):
         raise ValueError("resolutions must share bounds")
     lift = ChainLift(ses, res_sub, res_quot)

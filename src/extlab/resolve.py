@@ -82,7 +82,8 @@ class Resolution:
 
     Completed resolutions are never mutated; the per-degree column cache
     fills lazily with deterministic values, so concurrent readers can at
-    worst recompute an entry, never observe a wrong one.
+    worst recompute an entry, never observe a wrong one.  Only the cache
+    functions read the module's digest: a build without a cache never hashes.
     """
 
     def __init__(self, module: GradedModule, max_s: int, max_t: int):
@@ -93,10 +94,8 @@ class Resolution:
         if module.max_t < max_t:
             raise ValueError("module window too small for requested max_t")
         self.module = module
-        self.module_hash = module.digest()
         self.max_s = max_s
         self.max_t = max_t
-        self.algebra = module.algebra
         self.indexers = [FreeIndexer(module.algebra) for _ in range(max_s + 1)]
         self.targets: list[list[int]] = [[] for _ in range(max_s + 1)]
         self._cols: list[dict[int, list[int]]] = [{} for _ in range(max_s + 1)]
@@ -220,7 +219,7 @@ def _chart_lines(res: Resolution) -> list[str]:
 def serialize_resolution(res: Resolution) -> str:
     out = [MAGIC]
     out.append(f"version {FORMAT_VERSION}")
-    out.append(f"module {res.module_hash}")
+    out.append(f"module {res.module.digest()}")
     out.append(f"max_s {res.max_s}")
     out.append(f"max_t {res.max_t}")
     out.extend(_chart_lines(res))
@@ -328,7 +327,7 @@ def load_resolution(path: str, module: GradedModule, max_s: int, max_t: int) -> 
                 below = res.indexers[s - 1].gen_degrees if s else []
                 if not (
                     last_j < j < len(below) and deg == t - below[j] >= 0
-                    and not coords >> res.algebra.dim(deg)
+                    and not coords >> module.algebra.dim(deg)
                 ):
                     raise CacheError(f"d line of g_{s},{g} out of range: {line!r}")
                 # appending a generator never moves an earlier one's offset

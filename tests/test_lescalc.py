@@ -188,6 +188,22 @@ def test_lift_requires_matching_resolutions(fn_setup, alg):
         horseshoe_lift(fac.kernel_sequence(), other, res_i)
 
 
+def test_lift_refuses_a_resolution_of_an_equal_but_distinct_module():
+    # a second build of the same map gives modules of equal digest, but the
+    # lift reads its sequence's own objects, so it takes only theirs
+    spec = ScenarioSpec("f", 4, 10)
+    fac, twin = (factor_map(scenario_map(spec)) for _ in range(2))
+    assert (twin.K.digest(), twin.I.digest()) == (fac.K.digest(), fac.I.digest())
+    res_k, res_i, twin_k, twin_i = (
+        minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, twin.K, twin.I)
+    )
+    horseshoe_lift(fac.kernel_sequence(), res_k, res_i).verify()
+    with pytest.raises(ValueError, match="sub module"):
+        horseshoe_lift(fac.kernel_sequence(), twin_k, res_i)
+    with pytest.raises(ValueError, match="quot module"):
+        horseshoe_lift(fac.kernel_sequence(), res_k, twin_i)
+
+
 def test_lift_error_on_non_exact_sequence(alg):
     # fake sequence claiming A/0 = A with a zero 'projection' is not exact
     amod = free_module(alg, [0], 6)

@@ -268,6 +268,20 @@ def test_free_indexer_table_follows_new_generators(alg):
     assert idx.offset(1, 1) == idx.dim(1) == alg.dim(1)  # generator 1 starts above degree 1
 
 
+@pytest.mark.parametrize("start", [(), (4, 2, 0)])
+def test_add_generator_keeps_the_table_it_extends(alg, start):
+    idx = FreeIndexer(alg, start)
+    for t in (0, 0, 1, 3, 3, 6):
+        for u in (0, 2, 5, t, t + 1):
+            idx.dim(u)
+        held = sorted(idx._table)
+        idx.add_generator(t)
+        assert sorted(idx._table) == held  # each degree read stays tabulated
+        fresh = FreeIndexer(alg, idx.gen_degrees)
+        for u in held:
+            assert idx._table[u] == fresh._degree(u)
+
+
 def _eager_resolution(module, max_s, max_t):
     """The sweep with the canonical kernel of d_s reduced at every (s, t):
     the reference for :func:`minimal_resolution`, which reduces it only where

@@ -4,7 +4,9 @@ import pytest
 
 from extlab import scenarios
 from extlab.cli import main
+from extlab.gradedmod import GradedModule
 from extlab.lescalc import horseshoe_lift
+from extlab.resolve import minimal_resolution, serialize_resolution
 from extlab.scenarios import (
     E3Chart,
     ScenarioSpec,
@@ -25,6 +27,23 @@ def fn2():
 @pytest.fixture(scope="module")
 def fbig():
     return build_scenario(ScenarioSpec("f", 8, 18))
+
+
+class Hashed(Exception):
+    """Raised by a patched GradedModule.digest."""
+
+
+def test_a_build_without_a_cache_never_hashes_a_module(monkeypatch, fbig):
+    def refuse(self):
+        raise Hashed
+
+    monkeypatch.setattr(GradedModule, "digest", refuse)
+    result = build_scenario(ScenarioSpec("f", 8, 18))
+    assert result.e3 == fbig.e3 and verify_scenario(result) == []
+    res = minimal_resolution(result.factored.K, 8, 18)
+    assert res.chart() == result.res_k.chart()
+    with pytest.raises(Hashed):
+        serialize_resolution(res)  # the cache names and checks files by it
 
 
 def test_spec_validation():
