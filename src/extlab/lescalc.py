@@ -8,10 +8,12 @@ Its off-diagonal blocks tau_s are found degreewise by canonical solves of
     e_{s-1} o tau_s = tau_{s-1} o d^quot_s        (s >= 1)
 
 where tau_0 = sigma lifts the augmentation of quot through the projection,
-e_0 = incl o aug_sub, and e_s = d^sub_s.  Both resolutions being minimal,
-the dualized differentials vanish, and the connecting map is simply
-d[phi] = [phi o tau]: its matrix entry is the unit coefficient of a
-sub-generator in tau of a quot-generator.
+e_0 = incl o aug_sub, and e_s = d^sub_s.  Each tau_s(h) is checked against
+its recurrence right where it is solved, so no later pass re-reads the
+columns of tau, and they are dropped level by level.  Both resolutions
+being minimal, the dualized differentials vanish, and the connecting map
+is simply d[phi] = [phi o tau]: its matrix entry is the unit coefficient
+of a sub-generator in tau of a quot-generator.
 
 The composite of two boundary maps is taken per bidegree; the suspension
 re-indexing that presents it as a map out of Ext(desuspended sub) happens
@@ -40,7 +42,9 @@ class ChainLift:
     generator of P_0(quot) into the middle module; ``tau[s][h]`` (s >= 1) is
     the value of the splice homotopy on the h-th generator of P_s(quot), a
     vector over the degree basis of P_{s-1}(sub).  Maps are handed out as
-    column lists (see :mod:`extlab.f2core`).
+    column lists (see :mod:`extlab.f2core`).  After :func:`horseshoe_lift`,
+    only sigma's columns stay memoised, for :meth:`verify`;
+    ``tau_columns`` rebuilds any other level on demand.
     """
 
     def __init__(self, ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution):
@@ -78,40 +82,31 @@ class ChainLift:
     # -- invariants ---------------------------------------------------------
 
     def verify(self) -> None:
-        """Surjectivity of eps = [e_0 | sigma], and the recurrence on generators.
+        """Surjectivity of eps = [e_0 | sigma] onto mid, in every degree.
 
         Mod 2, d^Q o d^Q = [[d d, d tau + tau d], [0, d d]] and
         eps o d^Q_1 = [e_0 d_1, e_0 tau_1 + sigma d_1].  The off-diagonal
-        blocks are the recurrence, and d o d = 0 on both resolutions is
-        certified when they are built or loaded, so the horseshoe
-        differential needs no check of its own.  Both sides of the
-        recurrence are A-linear maps out of the free module P_s(quot), so
-        they agree iff they agree on generators: each h is checked once, in
-        its degree, on columns the lift built to solve for tau_s(h).
+        blocks are the recurrence, which :func:`horseshoe_lift` checks on
+        each generator right after solving it (both sides are A-linear maps
+        out of the free module P_s(quot)), and d o d = 0 on both
+        resolutions is certified when they are built or loaded.  What is
+        left is that eps is onto.
         """
-        rq = self.res_quot
         for t in range(self.max_t + 1):
-            below = self.e_columns(0, t)
-            if f2rank(below + self.tau_columns(0, t)) != self.ses.mid.dim(t):
+            if f2rank(self.e_columns(0, t) + self.tau_columns(0, t)) != self.ses.mid.dim(t):
                 raise AssertionError(f"horseshoe base not surjective at degree {t}")
-            for s in range(1, self.max_s + 1):
-                gens = rq.indexers[s].gens_in_degree(t)
-                if gens:
-                    tau_below = self.tau_columns(s - 1, t)
-                    for h in gens:
-                        if combine(below, self.tau[s][h]) != combine(tau_below, rq.targets[s][h]):
-                            raise AssertionError(
-                                f"tau recurrence fails on generator {h} at (s={s}, t={t})"
-                            )
-                below = self.e_columns(s, t)
 
 
 def horseshoe_lift(
     ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution
 ) -> ChainLift:
-    """Construct sigma and tau by canonical degreewise solves.  As the
-    inclusion is injective, ker(e_0) = ker(aug_sub): solving for tau_1 in one
-    step gives what solving through the inclusion, then aug_sub, gives."""
+    """Construct sigma and tau by canonical degreewise solves, and check
+    each tau_s(h) against its recurrence right after its solve.  As the
+    inclusion is injective, ker(e_0) = ker(aug_sub): solving for tau_1 in
+    one step gives what solving through the inclusion, then aug_sub, gives.
+    The columns of tau_{s-1} are read only by step s, so each level's memo
+    is dropped once that step is done; sigma's stays for
+    :meth:`ChainLift.verify`."""
     if res_sub.module is not ses.sub:
         raise ValueError("res_sub does not resolve the sequence's own sub module object")
     if res_quot.module is not ses.quot:
@@ -135,13 +130,20 @@ def horseshoe_lift(
 
     for s in range(1, res_sub.max_s + 1):
         solvers.clear()  # now one solver of e_{s-1} per degree, read only during this s
+        below: dict[int, list[int]] = {}  # e_{s-1}'s columns, beside its solvers
         target = lift.tau_codomain(s - 1)
         lift.tau.append([])
         for h, t in enumerate(res_quot.indexers[s].gen_degrees):
             if t not in solvers:
-                solvers[t] = Solver(lift.e_columns(s - 1, t), target.dim(t))
+                below[t] = lift.e_columns(s - 1, t)
+                solvers[t] = Solver(below[t], target.dim(t))
             v = combine(lift.tau_columns(s - 1, t), res_quot.targets[s][h])
-            lift.tau[s].append(preimage(solvers[t], v, f"chain-lift recurrence at (s={s}, t={t})"))
+            x = preimage(solvers[t], v, f"chain-lift recurrence at (s={s}, t={t})")
+            if combine(below[t], x) != v:
+                raise AssertionError(f"tau recurrence fails on generator {h} at (s={s}, t={t})")
+            lift.tau[s].append(x)
+        if s > 1:
+            lift._tau_cols.pop(s - 1, None)
     return lift
 
 

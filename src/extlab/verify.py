@@ -197,29 +197,37 @@ def suite_les(report: SuiteReport) -> None:
     res_k = minimal_resolution(fac.K, max_s, max_t)
     res_i = minimal_resolution(fac.I, max_s, max_t)
     res_c = minimal_resolution(fac.C, max_s, max_t)
-    lift_ik = horseshoe_lift(fac.kernel_sequence(), res_k, res_i)
-    lift_ci = horseshoe_lift(fac.cokernel_sequence(), res_i, res_c)
-    d_ik = connecting_map(lift_ik)
-    d_ci = connecting_map(lift_ci)
+    maps = []  # d_IK and d_CI, once both lifts stand
 
     def horseshoe_invariants():
-        lift_ik.verify()
-        lift_ci.verify()
+        for ses, res_sub, res_quot in (
+            (fac.kernel_sequence(), res_k, res_i),
+            (fac.cokernel_sequence(), res_i, res_c),
+        ):
+            lift = horseshoe_lift(ses, res_sub, res_quot)
+            lift.verify()
+            maps.append(connecting_map(lift))
+
+    def boundaries():
+        _require(len(maps) == 2, "no boundary maps: the horseshoe lifts failed")
+        return maps
 
     def free_middle_isos():
+        d_ik, d_ci = boundaries()
         for s in range(0, max_s):
             for t in range(0, max_t + 1):
                 _require(d_ik.is_iso(s, t), ("d_IK", s, t))
                 _require(d_ci.is_iso(s, t), ("d_CI", s, t))
 
     def rank_alternation():
+        d_ik, d_ci = boundaries()
         rep1 = les_exactness_report(d_ik, res_k.chart(), free_chart([2], max_s, max_t), res_i.chart())
         _require(rep1.ok, rep1.violations()[:3])
         rep2 = les_exactness_report(d_ci, res_i.chart(), free_chart([0], max_s, max_t), res_c.chart())
         _require(rep2.ok, rep2.violations()[:3])
 
     def composite_bidegree():
-        beta = compose_boundaries(d_ik, d_ci)
+        beta = compose_boundaries(*boundaries())
         for s in range(0, beta.max_s + 1):
             for t in range(0, beta.max_t + 1):
                 _require(beta.shape(s, t) == (

@@ -16,7 +16,13 @@ from extlab import verify
 from extlab.cli import main
 from extlab.gradedmod import ExactnessError, factor_map, free_module, sq1_quotient, trivial_module
 from extlab.oracle import reduce_word
-from extlab.resolve import Resolution, cache_path, load_resolution, serialize_resolution
+from extlab.resolve import (
+    Resolution,
+    cache_path,
+    load_resolution,
+    minimal_resolution,
+    serialize_resolution,
+)
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
 
@@ -250,6 +256,22 @@ def test_verify_records_a_pipeline_error_as_a_failed_check(capsys, tmp_path, mon
     checks = {c["name"]: c for c in doc["checks"]}
     assert [c["passed"] for c in doc["checks"]].count(False) == 1
     assert checks["conjugated fiber gives the identical page"]["passed"]  # ran after the failure
+
+
+def test_verify_records_a_broken_lift_as_a_failed_check(capsys, flip_solve):
+    # the les suite builds its lifts inside the named check, so a recurrence
+    # that fails there is one [FAIL] line, and the suites after it still run
+    spec = ScenarioSpec("fn", 6, 14, n=2)  # the les suite's map, Sq^2 on A
+    res_i = minimal_resolution(factor_map(scenario_map(spec)).I, spec.max_s, spec.max_t)
+    flip_solve(res_i, 1, 0, 0)
+    code, out, _ = run(["verify", "--suite", "all"], capsys)
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed[0].startswith("[FAIL] les: horseshoe lifts")
+    assert "tau recurrence fails on generator 0 at (s=1, t=" in out
+    assert all(line.startswith("[FAIL] les: ") for line in failed)
+    for suite in ("steenrod", "resolution", "scenarios"):
+        assert f"[PASS] {suite}: " in out
 
 
 _OFF_BY_ONE_ORACLE = """

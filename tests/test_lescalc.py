@@ -324,7 +324,7 @@ def _horseshoe_by_row_matrices(lift, s, t):
 
 def _block_check(lift):
     """eps o d^Q_1 = 0 and d^Q o d^Q = 0 from row matrices: the horseshoe
-    block check that ChainLift.verify leaves to the tau recurrences."""
+    block check that the lift makes as one tau recurrence per generator."""
     ses, rs = lift.ses, lift.res_sub
     for t in range(lift.max_t + 1):
         incl_aug = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t)) @ (
@@ -353,14 +353,18 @@ def _with_tau_bit_flipped(lift, s, h, bit):
     return bad
 
 
-def test_verify_agrees_with_horseshoe_block_check(alg):
+def test_verify_agrees_with_horseshoe_block_check(alg, flip_solve):
+    """A bit flipped in the solve of tau_s(h) stops the lift exactly when it
+    breaks recurrence s, which is when the block check fails on the flipped
+    tau; a flip the recurrence cannot see leaves a lift that passes it."""
     fac = factor_map(scenario_map(ScenarioSpec("f", MAX_S, MAX_T), alg))
     res = [minimal_resolution(m, MAX_S, MAX_T) for m in (fac.K, fac.I, fac.C)]
-    for ses, res_sub, res_quot in (
+    sequences = [
         (fac.kernel_sequence(), res[0], res[1]),
         (fac.cokernel_sequence(), res[1], res[2]),
-    ):
-        lift = horseshoe_lift(ses, res_sub, res_quot)
+    ]
+    lifts = [horseshoe_lift(*seq) for seq in sequences]
+    for (ses, res_sub, res_quot), lift in zip(sequences, lifts, strict=True):
         lift.verify()
         _block_check(lift)
         for s in range(1, 4):
@@ -368,19 +372,25 @@ def test_verify_agrees_with_horseshoe_block_check(alg):
             for h, th in enumerate(res_quot.indexers[s].gen_degrees):
                 # e_{s-1}, the map that tau_s(h) is pushed through by its recurrence
                 for bit, c in enumerate(lift.e_columns(s - 1, th)):
-                    bad = _with_tau_bit_flipped(lift, s, h, bit)
-                    raised = _raises(bad.verify)
-                    assert raised == _raises(lambda: _block_check(bad)), (s, h, bit)
-                    assert raised or not c, (s, h, bit)
-                    flipped += bool(c)
+                    flip_solve(res_quot, s, h, bit)
+                    try:
+                        tampered = horseshoe_lift(ses, res_sub, res_quot)
+                    except AssertionError as exc:
+                        assert c, (s, h, bit)
+                        assert f"generator {h} at (s={s}, t={th})" in str(exc)
+                        assert _raises(lambda: _block_check(_with_tau_bit_flipped(lift, s, h, bit)))
+                        flipped += 1
+                    else:
+                        assert not c, (s, h, bit)
+                        assert tampered.tau[s][h] == lift.tau[s][h] ^ 1 << bit
+                        _block_check(tampered)
                 if flipped >= 2:
                     break
             assert flipped >= 2, s
 
 
-def test_verify_builds_no_tau_columns():
-    # the generator check reads only the columns the lift built for its solves;
-    # the base check reads sigma = tau_0 in every degree, so s = 0 is left out
+def test_a_lift_keeps_only_the_sigma_columns():
+    # step s is the last reader of tau_{s-1}'s columns; verify reads sigma = tau_0's
     spec = ScenarioSpec("f", 8, 18)
     fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
     res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
@@ -389,12 +399,12 @@ def test_verify_builds_no_tau_columns():
         (fac.cokernel_sequence(), res[1], res[2]),
     ):
         lift = horseshoe_lift(ses, res_sub, res_quot)
-        built = {s: dict(cols) for s, cols in lift._tau_cols.items() if s}
+        assert list(lift._tau_cols) == [0]
         lift.verify()
-        assert {s: cols for s, cols in lift._tau_cols.items() if s} == built
+        assert list(lift._tau_cols) == [0]
 
 
-def test_verify_names_a_broken_base_or_tau_1(fn_setup):
+def test_verify_names_a_broken_base_or_tau_1(fn_setup, flip_solve):
     fac, res_k, res_i, _ = fn_setup
     ses = fac.kernel_sequence()
     lift = horseshoe_lift(ses, res_k, res_i)
@@ -403,12 +413,14 @@ def test_verify_names_a_broken_base_or_tau_1(fn_setup):
     # the middle module, Sigma^2 A, starts in degree 2
     with pytest.raises(AssertionError, match="horseshoe base not surjective at degree 2"):
         bad.verify()
+    # tau_1 is checked by the lift itself, on the generator it has just solved
     h, t = next(
         (h, t) for h, t in enumerate(res_i.indexers[1].gen_degrees)
         if compose(ses.inclusion.columns[t], res_k.diff_columns(0, t))[0]
     )
+    flip_solve(res_i, 1, h, 0)
     with pytest.raises(AssertionError, match=rf"generator {h} at \(s=1, t={t}\)"):
-        _with_tau_bit_flipped(lift, 1, h, 0).verify()
+        horseshoe_lift(ses, res_k, res_i)
 
 
 # sha256 of repr(sorted(cols.items())) of d_IK and d_CI of scenario f at

@@ -2,10 +2,8 @@ import re
 
 import pytest
 
-from extlab import scenarios
 from extlab.cli import main
-from extlab.gradedmod import GradedModule
-from extlab.lescalc import horseshoe_lift
+from extlab.gradedmod import GradedModule, factor_map
 from extlab.resolve import minimal_resolution, serialize_resolution
 from extlab.scenarios import (
     E3Chart,
@@ -15,6 +13,7 @@ from extlab.scenarios import (
     expected_e3,
     expected_pattern,
     kernel_image_lemma_check,
+    scenario_map,
     verify_scenario,
 )
 
@@ -232,17 +231,15 @@ def test_e3_window():
     assert (7, 0) not in set(chart.cells())
 
 
-def test_a_tampered_lift_fails_the_scenario(monkeypatch, capsys):
-    # one bit of tau_2 on the first generator of P_2(quot) flipped: the lift
-    # check must stop the build and name the bidegree
-    def tampered(ses, res_sub, res_quot):
-        lift = horseshoe_lift(ses, res_sub, res_quot)
-        lift.tau[2][0] ^= 1
-        return lift
-
-    monkeypatch.setattr(scenarios, "horseshoe_lift", tampered)
+def test_a_tampered_lift_fails_the_scenario(flip_solve, capsys):
+    # one bit of tau_2 on the first generator of P_2(I) flipped in its solve,
+    # in the first lift (K -> I): the lift must stop the build and name the bidegree
+    spec = ScenarioSpec("f", 6, 14)
+    res_i = minimal_resolution(factor_map(scenario_map(spec)).I, spec.max_s, spec.max_t)
+    flip_solve(res_i, 2, 0, 0)
     with pytest.raises(AssertionError, match=r"\(s=2, t=") as info:
-        build_scenario(ScenarioSpec("f", 6, 14))
+        build_scenario(spec)
     bidegree = re.search(r"\(s=2, t=\d+\)", str(info.value)).group()
+    flip_solve(res_i, 2, 0, 0)
     assert main(["scenario", "--kind", "f", "--max-s", "6", "--max-t", "14", "--no-cache"]) == 1
     assert bidegree in capsys.readouterr().err
