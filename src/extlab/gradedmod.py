@@ -191,12 +191,12 @@ class FreeIndexer:
     ``add_generator`` appends in non-decreasing degree, which resolutions
     and cache loads rely on.
 
-    The blocks of each degree, and the offset of every generator in it, are
-    tabulated on first use: ``offsets[g]`` is where generator g's block
-    starts (or would start), ``offsets[-1]`` the dimension.  A new
-    generator's block comes last, so ``add_generator`` extends each degree
-    in place.  Sq^k acts block by block through the algebra's
-    ``sq_columns`` tables, shifted to the block's offset.
+    The offset of every generator in each degree is tabulated on first use:
+    ``offsets[g]`` is where generator g's block starts (or would start),
+    ``offsets[-1]`` the dimension.  A new generator's block comes last, so
+    ``add_generator`` extends each degree in place.  Sq^k acts block by
+    block through the algebra's ``sq_columns`` tables, shifted to the
+    block's offset.
     """
 
     __slots__ = ("algebra", "gen_degrees", "_table")
@@ -204,51 +204,41 @@ class FreeIndexer:
     def __init__(self, algebra: AlgebraTable, gen_degrees: Sequence[int] = ()):
         self.algebra = algebra
         self.gen_degrees: list[int] = list(gen_degrees)
-        self._table: dict[int, tuple[list[tuple[int, int, int]], list[int]]] = {}
+        self._table: dict[int, list[int]] = {}
 
     def add_generator(self, t: int) -> int:
         if self.gen_degrees and t < self.gen_degrees[-1]:
             raise ValueError("generators must be added in non-decreasing degree")
-        for u, (blocks, offsets) in self._table.items():
-            end = offsets[-1]
-            if u >= t:
-                blocks.append((len(self.gen_degrees), t, end))
-                end += self.algebra.dim(u - t)
-            offsets.append(end)
+        for u, offsets in self._table.items():
+            offsets.append(offsets[-1] + self.algebra.dim(u - t) if u >= t else offsets[-1])
         self.gen_degrees.append(t)
         return len(self.gen_degrees) - 1
 
     def gens_in_degree(self, t: int) -> list[int]:
         return [g for g, d in enumerate(self.gen_degrees) if d == t]
 
-    def _degree(self, t: int) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """(blocks, offsets) of degree t, from the table."""
+    def _offsets(self, t: int) -> list[int]:
+        """The offsets of degree t, from the table."""
         got = self._table.get(t)
         if got is None:
-            alg = self.algebra
-            blocks = []
-            offsets = []
-            off = 0
-            for g, d in enumerate(self.gen_degrees):
-                offsets.append(off)
-                if d <= t:
-                    blocks.append((g, d, off))
-                    off += alg.dim(t - d)
-            offsets.append(off)
-            got = self._table[t] = (blocks, offsets)
+            dim = self.algebra.dim
+            got = self._table[t] = [0]
+            for d in self.gen_degrees:
+                got.append(got[-1] + dim(t - d) if d <= t else got[-1])
         return got
 
     def dim(self, t: int) -> int:
         if t < 0:
             return 0
-        return self._degree(t)[1][-1]
+        return self._offsets(t)[-1]
 
     def offset(self, g: int, t: int) -> int:
-        return self._degree(t)[1][g]
+        return self._offsets(t)[g]
 
     def blocks(self, t: int) -> list[tuple[int, int, int]]:
         """(generator, generator degree, offset) for each block in degree t."""
-        return self._degree(t)[0]
+        offsets = self._offsets(t)
+        return [(g, d, offsets[g]) for g, d in enumerate(self.gen_degrees) if d <= t]
 
     def map_columns(
         self, t: int, images: Sequence[int], apply_sq, memo: dict[int, list[int]]
@@ -275,7 +265,7 @@ class FreeIndexer:
                     if a != k:  # monomials come grouped by first exponent
                         k = a
                         below = self.map_columns(t - k, images, apply_sq, memo)
-                        base = self._degree(t - k)[1][g]
+                        base = self._offsets(t - k)[g]
                     cols.append(apply_sq(k, t - k, below[base + tail]))
             memo[t] = cols
         return cols
@@ -283,7 +273,7 @@ class FreeIndexer:
     def action_columns(self, k: int, t: int) -> list[int]:
         """Columns of Sq^k from degree t to degree t + k."""
         sq_columns = self.algebra.sq_columns
-        out_offsets = self._degree(t + k)[1]
+        out_offsets = self._offsets(t + k)
         return [
             c << out_offsets[g] for g, d, _ in self.blocks(t) for c in sq_columns(k, t - d)
         ]
@@ -293,7 +283,7 @@ class FreeIndexer:
         p, whose block is the last generator with offset at most p: an absent
         generator has the offset of the next one."""
         sq_columns, degrees = self.algebra.sq_columns, self.gen_degrees
-        offsets, out_offsets = self._degree(t)[1], self._degree(t + k)[1]
+        offsets, out_offsets = self._offsets(t), self._offsets(t + k)
         out = 0
         while vec:
             g = bisect_right(offsets, vec.bit_length() - 1) - 1

@@ -8,12 +8,11 @@ composite leaves behind:
     E3(s, t) = ker(beta at (s, t)) + coker(beta into (s, t)).
 
 The assembly is gated: the computed per-bidegree kernel and cokernel of
-beta must match the scenario's closed-form expectation wherever that
-expectation says something.  On a mismatch no chart is emitted; the report
-names the offending bidegrees.  This mirrors how the collapse argument
-actually runs: injectivity of the composite splits the Ext of the fiber
-into a sub piece and a quotient piece, and the d2-homology is then read off
-from beta alone.
+beta must match the scenario's closed-form expectation everywhere.  On a
+mismatch no chart is emitted; the report names the offending bidegrees.
+This mirrors how the collapse argument actually runs: injectivity of the
+composite splits the Ext of the fiber into a sub piece and a quotient
+piece, and the d2-homology is then read off from beta alone.
 
 Charts carry explicit certified windows: filtration up to max_s - 2 and
 internal degree up to max_t - 1 (boundary data one column short of the
@@ -123,15 +122,16 @@ class E3Chart:
 
 @dataclass
 class ExpectedPattern:
-    """Closed-form per-bidegree demands on beta for one scenario.
+    """Closed-form per-bidegree demands on beta for one scenario: the single
+    statement of its answer, from which the expected page is read.
 
     ``kernel(s, t)`` is the expected kernel dimension at a source bidegree;
-    ``coker(s, t)`` the expected cokernel dimension into a target bidegree,
-    or None where the scenario makes no demand.
+    ``coker(s, t)`` the expected cokernel dimension into a target bidegree.
+    Both are defined at every bidegree.
     """
 
     kernel: Callable[[int, int], int]
-    coker: Callable[[int, int], Optional[int]]
+    coker: Callable[[int, int], int]
     annotate: Callable[[int, int], tuple[str, ...]]
 
 
@@ -141,7 +141,7 @@ def expected_pattern(spec: ScenarioSpec) -> ExpectedPattern:
     if kind == "fn":
         return ExpectedPattern(
             kernel=lambda s, t: 0,
-            coker=lambda s, t: 0 if s >= 2 else None,
+            coker=lambda s, t: 1 if (s, t) in ((0, 0), (1, n)) else 0,
             annotate=lambda stem, filt: ("unit",) if (stem, filt) == (0, 0) else (
                 (f"sigma(1,{n})",) if (stem, filt) == (n - 1, 1) else ()
             ),
@@ -179,12 +179,26 @@ def expected_pattern(spec: ScenarioSpec) -> ExpectedPattern:
     return ExpectedPattern(kernel=kernel, coker=coker, annotate=annotate)
 
 
+def _page(max_filt, max_total, kernel, coker, annotate) -> E3Chart:
+    """The page kernel + coker over a certified window: (stem, filt) read at
+    the bidegree (s, t) = (filt, stem + filt)."""
+    chart = E3Chart(max_filt=max_filt, max_total=max_total)
+    for stem, filt in chart.cells():
+        dim = kernel(filt, stem + filt) + coker(filt, stem + filt)
+        if dim:
+            chart.entries[(stem, filt)] = dim
+            labels = annotate(stem, filt)
+            if labels:
+                chart.annotations[(stem, filt)] = labels
+    return chart
+
+
 def assemble_e3(
     beta: BoundaryMap, pattern: ExpectedPattern
 ) -> tuple[Optional[E3Chart], HypothesisReport]:
     """Gate on the expected kernel/cokernel pattern, then read off the page.
 
-    Emits no chart when any demanded bidegree disagrees.
+    Emits no chart when any bidegree disagrees.
     """
     checks: list[HypothesisCheck] = []
     target = beta.target_chart
@@ -195,61 +209,20 @@ def assemble_e3(
             )
     for s in range(0, target.max_s + 1):
         for t in range(0, target.max_t + 1):
-            want = pattern.coker(s, t)
-            if want is None:
-                continue
             checks.append(
-                HypothesisCheck("cokernel", s, t, beta.coker_dim(s, t), want)
+                HypothesisCheck("cokernel", s, t, beta.coker_dim(s, t), pattern.coker(s, t))
             )
     report = HypothesisReport(checks)
     if not report.ok:
         return None, report
-
-    chart = E3Chart(max_filt=beta.max_s, max_total=beta.max_t)
-    for s in range(0, beta.max_s + 1):
-        for t in range(s, beta.max_t + 1):
-            dim = beta.kernel_dim(s, t) + beta.coker_dim(s, t)
-            if dim:
-                stem, filt = t - s, s
-                chart.entries[(stem, filt)] = dim
-                labels = pattern.annotate(stem, filt)
-                if labels:
-                    chart.annotations[(stem, filt)] = labels
-    return chart, report
+    return _page(beta.max_s, beta.max_t, beta.kernel_dim, beta.coker_dim, pattern.annotate), report
 
 
 def expected_e3(spec: ScenarioSpec) -> E3Chart:
-    """The closed-form collapsed page, restricted to the certified window."""
-    chart = E3Chart(max_filt=spec.max_s - 2, max_total=spec.max_t - 1)
+    """The page the scenario's pattern demands, kernel + coker, over the
+    certified window."""
     pattern = expected_pattern(spec)
-
-    def put(stem: int, filt: int, dim: int = 1) -> None:
-        if dim and chart.certified(stem, filt):
-            chart.entries[(stem, filt)] = chart.entries.get((stem, filt), 0) + dim
-            labels = pattern.annotate(stem, filt)
-            if labels:
-                chart.annotations[(stem, filt)] = labels
-
-    if spec.kind == "fn":
-        put(0, 0)
-        put(spec.n - 1, 1)
-    elif spec.kind == "fnz":
-        for s in range(chart.max_filt + 1):
-            put(0, s)
-        put(spec.n - 1, 1)
-    else:
-        for s in range(chart.max_filt + 1):
-            put(0, s)
-        j = 1
-        while (1 << j) - 1 <= chart.max_total:
-            put((1 << j) - 1, 1)
-            j += 1
-        i = 1
-        while 2 * i - 1 <= chart.max_total:
-            if not _is_pow2(i):
-                put(2 * i - 1, 0)
-            i += 1
-    return chart
+    return _page(spec.max_s - 2, spec.max_t - 1, pattern.kernel, pattern.coker, pattern.annotate)
 
 
 @dataclass
@@ -351,10 +324,12 @@ def kernel_image_lemma_check(result: ScenarioResult) -> HypothesisReport:
     d_ik, d_ci = result.d_ik, result.d_ci
     ch_i, ch_c = result.chart_i, result.chart_c
     max_s, max_t = result.spec.max_s, result.spec.max_t
+    pattern = expected_pattern(result.spec)
 
     for s in range(0, max_s):
         for t in range(0, max_t + 1):
-            want = 1 if (s == 0 and t >= 2 and t % 2 == 0 and not _is_pow2(t // 2)) else 0
+            # d_CI is injective, so ker beta is ker d_IK desuspended
+            want = pattern.kernel(s, t - 1)
             checks.append(HypothesisCheck("ker d_IK", s, t, d_ik.kernel_dim(s, t), want))
             checks.append(HypothesisCheck("d_CI injective", s, t, d_ci.kernel_dim(s, t), 0))
     for s in range(0, max_s):

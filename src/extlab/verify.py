@@ -11,8 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .gradedmod import free_module, sq1_quotient, trivial_module
-from .lescalc import compose_boundaries, connecting_map, horseshoe_lift, les_exactness_report
+from .gradedmod import sq1_quotient, trivial_module
+from .lescalc import les_exactness_report
 from .resolve import (
     ExtChart,
     load_resolution,
@@ -187,52 +187,43 @@ def suite_resolution(report: SuiteReport) -> None:
 
 
 def suite_les(report: SuiteReport) -> None:
-    from .gradedmod import factor_map, map_from_generators
-
-    max_s, max_t = 6, 14
-    alg = AlgebraTable(max_t)
-    dom = free_module(alg, [2], max_t)
-    cod = free_module(alg, [0], max_t)
-    fac = factor_map(map_from_generators(dom, cod, [1 << alg.index((2,))]))
-    res_k = minimal_resolution(fac.K, max_s, max_t)
-    res_i = minimal_resolution(fac.I, max_s, max_t)
-    res_c = minimal_resolution(fac.C, max_s, max_t)
-    maps = []  # d_IK and d_CI, once both lifts stand
+    spec = ScenarioSpec("fn", 6, 14, n=2)  # Sq^2 on A
+    max_s, max_t = spec.max_s, spec.max_t
+    built = []  # the scenario, once its lifts stand
 
     def horseshoe_invariants():
-        for ses, res_sub, res_quot in (
-            (fac.kernel_sequence(), res_k, res_i),
-            (fac.cokernel_sequence(), res_i, res_c),
-        ):
-            lift = horseshoe_lift(ses, res_sub, res_quot)
-            lift.verify()
-            maps.append(connecting_map(lift))
+        built.append(build_scenario(spec))
 
-    def boundaries():
-        _require(len(maps) == 2, "no boundary maps: the horseshoe lifts failed")
-        return maps
+    def scenario():
+        _require(built, "no boundary maps: the horseshoe lifts failed")
+        return built[0]
 
     def free_middle_isos():
-        d_ik, d_ci = boundaries()
+        result = scenario()
         for s in range(0, max_s):
             for t in range(0, max_t + 1):
-                _require(d_ik.is_iso(s, t), ("d_IK", s, t))
-                _require(d_ci.is_iso(s, t), ("d_CI", s, t))
+                _require(result.d_ik.is_iso(s, t), ("d_IK", s, t))
+                _require(result.d_ci.is_iso(s, t), ("d_CI", s, t))
 
     def rank_alternation():
-        d_ik, d_ci = boundaries()
-        rep1 = les_exactness_report(d_ik, res_k.chart(), free_chart([2], max_s, max_t), res_i.chart())
+        result = scenario()
+        rep1 = les_exactness_report(
+            result.d_ik, result.res_k.chart(), free_chart([2], max_s, max_t), result.chart_i
+        )
         _require(rep1.ok, rep1.violations()[:3])
-        rep2 = les_exactness_report(d_ci, res_i.chart(), free_chart([0], max_s, max_t), res_c.chart())
+        rep2 = les_exactness_report(
+            result.d_ci, result.chart_i, free_chart([0], max_s, max_t), result.chart_c
+        )
         _require(rep2.ok, rep2.violations()[:3])
 
     def composite_bidegree():
-        beta = compose_boundaries(*boundaries())
+        result = scenario()
+        beta = result.beta
         for s in range(0, beta.max_s + 1):
             for t in range(0, beta.max_t + 1):
                 _require(beta.shape(s, t) == (
-                    res_c.chart().dim(s + 2, t + 1),
-                    res_k.chart().shift_t(-1).dim(s, t),
+                    result.chart_c.dim(s + 2, t + 1),
+                    result.res_k.chart().shift_t(-1).dim(s, t),
                 ), (s, t))
 
     report.run("les", "horseshoe lifts satisfy d^Q o d^Q = 0", horseshoe_invariants)

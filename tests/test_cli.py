@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -184,6 +185,21 @@ def test_scenario_json(capsys, tmp_path):
     assert doc["diff"] == []
     stems = {(e["stem"], e["filtration"]) for e in doc["assembled"]["entries"]}
     assert (1, 1) in stems and (5, 0) in stems
+
+
+# sha256 of the json stdout of the two kinds tests/test_golden.py does not
+# pin, taken before the expected page was read off the gate's pattern
+@pytest.mark.parametrize("argv, digest", [
+    (["--kind", "fn", "--n", "4"], "adfc77ab97ff1163864ae9ffa2cf8bee6edab1754878e7d0fb80b315757309e1"),
+    (["--kind", "f-conj"], "a53e641a3e6bde3b4ab552490ca32f3f6f5defc59be10fc55cb441bd9f53e5a8"),
+])
+def test_scenario_json_bytes(argv, digest, capsys):
+    code, out, _ = run(
+        ["scenario", *argv, "--max-s", "10", "--max-t", "26", "--format", "json", "--no-cache"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scenario_svg_output(capsys, tmp_path):

@@ -279,7 +279,7 @@ def test_add_generator_keeps_the_table_it_extends(alg, start):
         assert sorted(idx._table) == held  # each degree read stays tabulated
         fresh = FreeIndexer(alg, idx.gen_degrees)
         for u in held:
-            assert idx._table[u] == fresh._degree(u)
+            assert idx._table[u] == fresh._offsets(u)
 
 
 def _eager_resolution(module, max_s, max_t):

@@ -1,13 +1,15 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from extlab.cli import main
 from extlab.gradedmod import GradedModule, factor_map
-from extlab.resolve import minimal_resolution, serialize_resolution
+from extlab.resolve import ExtChart, minimal_resolution, serialize_resolution
 from extlab.scenarios import (
     E3Chart,
     ScenarioSpec,
+    assemble_e3,
     build_scenario,
     compare_projection_filtration,
     expected_e3,
@@ -110,7 +112,6 @@ def test_big_fiber(fbig):
 
 def test_big_fiber_les_exactness(fbig):
     from extlab.lescalc import les_exactness_report
-    from extlab.resolve import ExtChart
     from extlab.verify import free_chart
 
     max_s, max_t = fbig.spec.max_s, fbig.spec.max_t
@@ -165,8 +166,6 @@ def test_lemma_check_requires_big(fn2):
 
 def test_negative_control_corrupted_beta(fbig):
     # flip one matrix of beta: the gate must refuse to assemble
-    from extlab.scenarios import assemble_e3
-
     beta = fbig.beta
     key = (0, 4)  # kernel expected 0 here; make it 1 by zeroing the matrix
     original = beta.columns(*key)
@@ -180,6 +179,38 @@ def test_negative_control_corrupted_beta(fbig):
         assert key in bad or (key[0] + 2, key[1] + 1) in bad
     finally:
         beta.cols[key] = original
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec("fn", 6, 14, n=2),
+    ScenarioSpec("fnz", 6, 14, n=2),
+    ScenarioSpec("f", 6, 14),
+    ScenarioSpec("f-conj", 6, 14),
+], ids=ScenarioSpec.describe)
+def test_the_gate_demands_every_bidegree(spec):
+    result = build_scenario(spec)
+    beta, target = result.beta, result.beta.target_chart
+    checks = result.hypothesis.checks
+    assert [(c.s, c.t) for c in checks if c.what == "kernel"] == [
+        (s, t) for s in range(beta.max_s + 1) for t in range(beta.max_t + 1)
+    ]
+    assert [(c.s, c.t) for c in checks if c.what == "cokernel"] == [
+        (s, t) for s in range(target.max_s + 1) for t in range(target.max_t + 1)
+    ]
+
+
+def test_the_gate_refuses_an_extra_class_below_filtration_2(fn2):
+    # one class too many in Ext^{1,3}(C): beta maps nothing into filtration 1,
+    # so only the cokernel demand at s = 1 can catch it
+    target = fn2.beta.target_chart
+    dims = [list(row) for row in target.dims]
+    dims[1][3] += 1
+    bad = ExtChart(target.max_s, target.max_t, tuple(tuple(row) for row in dims))
+    chart, report = assemble_e3(replace(fn2.beta, target_chart=bad), expected_pattern(fn2.spec))
+    assert chart is None
+    assert [(c.what, c.s, c.t, c.computed, c.expected) for c in report.violations()] == [
+        ("cokernel", 1, 3, 1, 0)
+    ]
 
 
 def test_negative_control_corrupted_chart(fbig):
