@@ -80,10 +80,11 @@ class Resolution:
     order.  ``targets[s][g]`` is d(g_{s,g}) for g of degree t: a vector over
     the degree-t basis of P_{s-1}, or of the module when s = 0.
 
-    Completed resolutions are never mutated; the per-degree column cache
-    fills lazily with deterministic values, so concurrent readers can at
-    worst recompute an entry, never observe a wrong one.  Only the cache
-    functions read the module's digest: a build without a cache never hashes.
+    Completed resolutions are never mutated, but their column memo may be
+    dropped (:meth:`forget_columns`).  The memo fills lazily, per degree,
+    with deterministic values, so concurrent readers can at worst recompute
+    an entry, never observe a wrong one.  Only the cache functions read the
+    module's digest: a build without a cache never hashes.
     """
 
     def __init__(self, module: GradedModule, max_s: int, max_t: int):
@@ -115,6 +116,12 @@ class Resolution:
         """Columns of d_s at degree t over the (generator, monomial) basis."""
         apply_sq = self.module.apply_sq if s == 0 else self.indexers[s - 1].apply_sq
         return self.indexers[s].map_columns(t, self.targets[s], apply_sq, self._cols[s])
+
+    def forget_columns(self) -> None:
+        """Drop the memoised columns of every d_s.  A later read rebuilds
+        them: the same values, at the cost of recomputing them."""
+        for cols in self._cols:
+            cols.clear()
 
     # -- verification ----------------------------------------------------------
 

@@ -14,6 +14,13 @@ This mirrors how the collapse argument actually runs: injectivity of the
 composite splits the Ext of the fiber into a sub piece and a quotient
 piece, and the d2-homology is then read off from beta alone.
 
+At most one resolution's column memo (the columns of its d_s) is alive at
+any point.  A horseshoe lift reads the columns of its sub's resolution
+only; of its quot's, it reads the generators and the targets.  So the
+pipeline resolves C and drops its memo, since C is only ever a quotient;
+resolves I, runs and checks the C -> I lift, and drops I's memo; then
+resolves K, runs and checks the K -> I lift, and drops K's memo.
+
 Charts carry explicit certified windows: filtration up to max_s - 2 and
 internal degree up to max_t - 1 (boundary data one column short of the
 resolution bound is not trustworthy).  Nothing is claimed outside.
@@ -281,16 +288,24 @@ def build_scenario(
     algebra: Optional[AlgebraTable] = None,
     cache_dir: Optional[str] = None,
 ) -> ScenarioResult:
-    """Build, factor, resolve, lift, compose, gate, assemble."""
+    """Build, factor, resolve, lift, compose, gate, assemble.
+
+    Resolves C, then I and lifts C -> I, then K and lifts K -> I, dropping
+    each resolution's column memo after its last reader, as the module
+    docstring says.  The resolutions handed back refill theirs when read.
+    """
     f = scenario_map(spec, algebra)
     fac = factor_map(f)
-    res_k = cached_resolution(fac.K, spec.max_s, spec.max_t, cache_dir)
-    res_i = cached_resolution(fac.I, spec.max_s, spec.max_t, cache_dir)
     res_c = cached_resolution(fac.C, spec.max_s, spec.max_t, cache_dir)
-    lift_ik = horseshoe_lift(fac.kernel_sequence(), res_k, res_i)
+    res_c.forget_columns()
+    res_i = cached_resolution(fac.I, spec.max_s, spec.max_t, cache_dir)
     lift_ci = horseshoe_lift(fac.cokernel_sequence(), res_i, res_c)
-    lift_ik.verify()
     lift_ci.verify()
+    res_i.forget_columns()
+    res_k = cached_resolution(fac.K, spec.max_s, spec.max_t, cache_dir)
+    lift_ik = horseshoe_lift(fac.kernel_sequence(), res_k, res_i)
+    lift_ik.verify()
+    res_k.forget_columns()
     d_ik = connecting_map(lift_ik)
     d_ci = connecting_map(lift_ci)
     beta = compose_boundaries(d_ik, d_ci)

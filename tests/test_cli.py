@@ -274,20 +274,36 @@ def test_verify_records_a_pipeline_error_as_a_failed_check(capsys, tmp_path, mon
     assert checks["conjugated fiber gives the identical page"]["passed"]  # ran after the failure
 
 
-def test_verify_records_a_broken_lift_as_a_failed_check(capsys, flip_solve):
+def _verify_records_a_broken_lift(capsys, flip_solve, lift):
     # the les suite builds its lifts inside the named check, so a recurrence
-    # that fails there is one [FAIL] line, and the suites after it still run
+    # that fails there is one [FAIL] line, and the suites after it still run.
+    # The C -> I lift runs first, one solve per generator of P(C), so the
+    # K -> I lift's count starts after them.
     spec = ScenarioSpec("fn", 6, 14, n=2)  # the les suite's map, Sq^2 on A
-    res_i = minimal_resolution(factor_map(scenario_map(spec)).I, spec.max_s, spec.max_t)
-    flip_solve(res_i, 1, 0, 0)
+    fac = factor_map(scenario_map(spec))
+    res_i, res_c = (minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.I, fac.C))
+    if lift == "K -> I":
+        res_quot, after = res_i, sum(len(ix.gen_degrees) for ix in res_c.indexers)
+    else:
+        res_quot, after = res_c, 0
+    flip_solve(res_quot, 1, 0, 0, after=after)
     code, out, _ = run(["verify", "--suite", "all"], capsys)
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
     assert failed[0].startswith("[FAIL] les: horseshoe lifts")
-    assert "tau recurrence fails on generator 0 at (s=1, t=" in out
+    t = res_quot.indexers[1].gen_degrees[0]
+    assert f"tau recurrence fails on generator 0 at (s=1, t={t})" in out
     assert all(line.startswith("[FAIL] les: ") for line in failed)
     for suite in ("steenrod", "resolution", "scenarios"):
         assert f"[PASS] {suite}: " in out
+
+
+def test_verify_records_a_broken_lift_as_a_failed_check(capsys, flip_solve):
+    _verify_records_a_broken_lift(capsys, flip_solve, "K -> I")
+
+
+def test_verify_records_a_broken_c_to_i_lift_as_a_failed_check(capsys, flip_solve):
+    _verify_records_a_broken_lift(capsys, flip_solve, "C -> I")
 
 
 _OFF_BY_ONE_ORACLE = """
@@ -470,6 +486,24 @@ def test_cache_hits_and_misses_are_logged_at_info(capsys, caplog, tmp_path):
     assert sorted(events()) == [f"cache miss {path}; resolving" for path in files]
     assert run(argv, capsys)[0] == 0
     assert sorted(events()) == [f"cache hit {path}" for path in files]
+
+
+def test_a_scenario_on_a_sibling_cache_mixes_hits_lifts_and_a_build(capsys, caplog, tmp_path):
+    # f and f-conj have the same image and cokernel (their modules share
+    # digests) but another kernel, so f-conj on the cache f filled loads C
+    # and I, lifts C -> I, then resolves K; its stdout is a cold run's
+    caplog.set_level(logging.INFO, logger="extlab.resolve")
+    window = ["--max-s", "10", "--max-t", "26"]
+    run(["scenario", "--kind", "f", *window, "--cache-dir", str(tmp_path)], capsys)
+    filled = set(os.listdir(tmp_path))
+    caplog.clear()
+    code, out, _ = run(["scenario", "--kind", "f-conj", *window, "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    events = [r.getMessage().split()[:2] for r in caplog.records
+              if r.name == "extlab.resolve" and r.levelname == "INFO"]
+    assert events == [["cache", "hit"], ["cache", "hit"], ["cache", "miss"]]  # C, I, then K
+    assert len(set(os.listdir(tmp_path)) - filled) == 1
+    assert out == run(["scenario", "--kind", "f-conj", *window, "--no-cache"], capsys)[1]
 
 
 

@@ -99,6 +99,22 @@ def test_invariants(res_f2):
     res_f2.verify()
 
 
+@pytest.mark.parametrize("build", [
+    lambda alg: trivial_module(alg, 14),
+    lambda alg: _scenario_f_kernel(14),
+], ids=["f2", "f-kernel"])
+def test_forgotten_columns_are_rebuilt_bit_identical(alg, build):
+    res = minimal_resolution(build(alg), 6, 14)
+    built = [dict(cols) for cols in res._cols]
+    res.forget_columns()
+    assert all(not cols for cols in res._cols)
+    rebuilt = [{t: res.diff_columns(s, t) for t in range(res.max_t + 1)}
+               for s in range(res.max_s + 1)]
+    assert rebuilt == built
+    res.forget_columns()
+    res.verify()
+
+
 def test_oracle_equivalence(alg):
     dims = oracle_ext_dims("f2", 6, 14)
     chart = minimal_resolution(trivial_module(alg, 14), 6, 14).chart()

@@ -262,15 +262,40 @@ def test_e3_window():
     assert (7, 0) not in set(chart.cells())
 
 
-def test_a_tampered_lift_fails_the_scenario(flip_solve, capsys):
-    # one bit of tau_2 on the first generator of P_2(I) flipped in its solve,
-    # in the first lift (K -> I): the lift must stop the build and name the bidegree
+def _a_tampered_lift_fails_the_scenario(flip_solve, capsys, lift, h):
+    # one bit of tau_2 on generator h of P_2 of the lift's quot flipped in its
+    # solve: the lift must stop the build and name that generator's bidegree.
+    # The C -> I lift runs first, one solve per generator of P(C), so the
+    # K -> I lift's count starts after them.
     spec = ScenarioSpec("f", 6, 14)
-    res_i = minimal_resolution(factor_map(scenario_map(spec)).I, spec.max_s, spec.max_t)
-    flip_solve(res_i, 2, 0, 0)
-    with pytest.raises(AssertionError, match=r"\(s=2, t=") as info:
+    fac = factor_map(scenario_map(spec))
+    res_i, res_c = (minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.I, fac.C))
+    if lift == "K -> I":
+        res_quot, after = res_i, sum(len(ix.gen_degrees) for ix in res_c.indexers)
+    else:
+        res_quot, after = res_c, 0
+    bidegree = f"(s=2, t={res_quot.indexers[2].gen_degrees[h]})"
+    flip_solve(res_quot, 2, h, 0, after=after)
+    with pytest.raises(AssertionError, match=re.escape(f"generator {h} at {bidegree}")):
         build_scenario(spec)
-    bidegree = re.search(r"\(s=2, t=\d+\)", str(info.value)).group()
-    flip_solve(res_i, 2, 0, 0)
+    flip_solve(res_quot, 2, h, 0, after=after)
     assert main(["scenario", "--kind", "f", "--max-s", "6", "--max-t", "14", "--no-cache"]) == 1
     assert bidegree in capsys.readouterr().err
+
+
+def test_a_tampered_lift_fails_the_scenario(flip_solve, capsys):
+    _a_tampered_lift_fails_the_scenario(flip_solve, capsys, "K -> I", 0)
+
+
+def test_a_tampered_c_to_i_lift_fails_the_scenario(flip_solve, capsys):
+    # not generator 0 of P_2(C): P_1(I) is zero in its degree, so tau_2 of
+    # it has no bit 0 to flip
+    _a_tampered_lift_fails_the_scenario(flip_solve, capsys, "C -> I", 1)
+
+
+def test_a_scenario_hands_back_resolutions_with_no_memoised_column():
+    # each resolution's d_s columns are dropped after their last reader
+    result = build_scenario(ScenarioSpec("f", 10, 26))
+    assert result.ok
+    for res in (result.res_k, result.res_i, result.res_c):
+        assert all(not cols for cols in res._cols)
