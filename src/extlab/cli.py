@@ -5,7 +5,8 @@
     extlab verify   --suite all [--json-output report.json]
 
 Exit codes: 0 verified / success, 1 mathematical mismatch or internal
-invariant failure, 2 usage error.  The cache directory defaults to
+invariant failure, 2 usage error (bad bounds, selectors or paths, refused
+before anything is built).  The cache directory defaults to
 ``.extlab-cache``; the EXTLAB_CACHE environment variable overrides the
 default, and --cache-dir overrides both.  --no-cache disables it.
 """
@@ -69,12 +70,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_dir(args) -> Optional[str]:
+def _cache_dir(args, parser: argparse.ArgumentParser) -> Optional[str]:
+    """The cache directory, or None; exit 2 when a path on the way to it
+    exists and is not a directory, since the cache could not be written."""
     if args.no_cache:
         return None
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("EXTLAB_CACHE", ".extlab-cache")
+    path = args.cache_dir or os.environ.get("EXTLAB_CACHE", ".extlab-cache")
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        parser.error(f"cache directory {path}: {probe} is not a directory")
+    return path
+
+
+def _check_output(parser: argparse.ArgumentParser, flag: str, path: Optional[str]) -> None:
+    """Exit 2 unless ``path`` can name a file in an existing directory."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        parser.error(f"{flag} {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        parser.error(f"{flag} {path}: no directory {os.path.dirname(path)}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -117,8 +134,10 @@ def _parse_module(selector: str, parser: argparse.ArgumentParser, max_t: int):
 
 def cmd_resolve(args, parser) -> int:
     _check_window(parser, args.max_s, args.max_t)
+    cache_dir = _cache_dir(args, parser)
+    _check_output(parser, "--output", args.output)
     module, name = _parse_module(args.module, parser, args.max_t)
-    res = cached_resolution(module, args.max_s, args.max_t, _cache_dir(args))
+    res = cached_resolution(module, args.max_s, args.max_t, cache_dir)
     chart = res.chart()
     title = f"Ext({name}) for s <= {args.max_s}, t <= {args.max_t}"
     if args.format == "ascii":
@@ -132,11 +151,13 @@ def cmd_resolve(args, parser) -> int:
 
 def cmd_scenario(args, parser) -> int:
     _check_window(parser, args.max_s, args.max_t)
+    cache_dir = _cache_dir(args, parser)
+    _check_output(parser, "--output", args.output)
     try:
         spec = ScenarioSpec(args.kind, args.max_s, args.max_t, n=args.n)
     except ValueError as exc:
         parser.error(str(exc))
-    result = build_scenario(spec, cache_dir=_cache_dir(args))
+    result = build_scenario(spec, cache_dir=cache_dir)
 
     if result.e3 is None:
         bad = result.hypothesis.violations()
@@ -172,6 +193,7 @@ def cmd_scenario(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    _check_output(parser, "--json-output", args.json_output)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = run_suites(names)
     for check in report.checks:

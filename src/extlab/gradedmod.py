@@ -21,14 +21,28 @@ quotient, each applying Sq^k through the middle module on every call.
 :func:`factor_map` cuts a map into kernel, image and cokernel through these
 two builders, and :func:`sq1_quotient` builds A//A(0) as a coordinate
 quotient of A, the one module here that stores a table.
+
+The digest, which is the cache key, is SHA-256 from the interpreter's
+builtin module (``_sha2``, or ``_sha256`` before Python 3.12).  Importing
+``hashlib`` loads ``_hashlib`` and OpenSSL's libcrypto, about 3.5 MB of
+resident memory in every process, for the one hash the library takes.
+``hashlib`` is the fallback on builds without the builtin hashes (FIPS
+builds, PyPy); every source gives the same digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .f2core import (
     Subspace,
@@ -118,9 +132,16 @@ class GradedModule:
         return 0 if cols is None else combine(cols, vec)
 
     def digest(self) -> str:
-        """Content hash of (max_t, dims) and the nonzero actions in (k, t) order."""
+        """SHA-256 of (max_t, dims) and the nonzero actions in (k, t) order.
+
+        The builtin SHA-256 (see the module docstring) is about five times
+        slower per byte than OpenSSL's.  Scenario f (14, 38) hashes 0.76 MB
+        over its three modules, a few milliseconds more, about what loading
+        libcrypto cost; the difference grows with the window, as K's
+        tables do.
+        """
         if self._digest is None:
-            h = hashlib.sha256()
+            h = sha256()
             h.update(b"EXTMOD1")
             h.update(repr((self.max_t, self.dims)).encode())
             for k in range(1, self.max_t + 1):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from extlab import verify
+from extlab import cli, verify
 from extlab.cli import main
 from extlab.gradedmod import ExactnessError, factor_map, free_module, sq1_quotient, trivial_module
 from extlab.oracle import reduce_word
@@ -130,6 +130,47 @@ def test_absurd_bounds_exit_2_before_building(command, max_s, max_t, guard_const
 def test_windows_in_use_pass_the_bound_check(command, max_s, max_t, guard_construction):
     with pytest.raises(_Built):
         main([*command, "--max-s", str(max_s), "--max-t", str(max_t), "--no-cache"])
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("how", ["flag", "env", "below"])
+def test_a_cache_dir_that_cannot_be_a_directory_exits_2_before_building(
+        command, how, guard_construction, monkeypatch, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [*command, "--max-s", "4", "--max-t", "10"]
+    if how == "env":
+        monkeypatch.setenv("EXTLAB_CACHE", str(blocker))
+    else:
+        argv += ["--cache-dir", str(blocker if how == "flag" else blocker / "sub")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"{blocker} is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_output_that_cannot_be_written_exits_2_before_building(
+        command, where, guard_construction, tmp_path, capsys):
+    output = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--max-s", "4", "--max-t", "10", "--no-cache", "--output", str(output)])
+    assert info.value.code == 2
+    assert f"--output {output}" in capsys.readouterr().err
+
+
+def test_verify_json_output_into_a_missing_directory_exits_2_before_running(
+        monkeypatch, tmp_path, capsys):
+    def refuse(names):
+        raise _Built("run_suites")
+
+    monkeypatch.setattr(cli, "run_suites", refuse)
+    output = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "steenrod", "--json-output", str(output)])
+    assert info.value.code == 2
+    assert f"--json-output {output}: no directory" in capsys.readouterr().err
 
 
 def test_scenario_ok(capsys, tmp_path):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +100,24 @@ def test_free_module_stores_no_action():
         tracemalloc.stop()
     assert retained < 256 * 1024, retained
     assert mod.digest() == FREE_EVEN_38
+
+
+def test_digest_falls_back_to_hashlib():
+    """With both builtin SHA-256 modules blocked, as on builds that strip
+    them, the digest comes from hashlib and is the same."""
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from extlab import gradedmod\n"
+        "from extlab.steenrod import AlgebraTable\n"
+        "print(gradedmod.sha256 is hashlib.sha256)\n"
+        "print(gradedmod.free_module(AlgebraTable(38), list(range(2, 39, 2)), 38).digest())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", FREE_EVEN_38]
 
 
 def test_map_from_generators_examples(alg, amod):

@@ -3,6 +3,7 @@ top-level name and method is referenced, and the CLI loads no more than
 it runs."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -171,4 +172,23 @@ def test_the_cli_does_not_load_the_oracle():
         [sys.executable, "-c", "import sys, extlab.cli; print('extlab.oracle' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
+    assert out.strip() == "False"
+
+
+def test_the_cli_does_not_load_openssl():
+    """The cache key is the builtin SHA-256, so naming a cache file does
+    not load ``_hashlib`` and OpenSSL's libcrypto, about 3.5 MB of RSS."""
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no builtin SHA-256")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import sys, extlab.cli\n"
+        "from extlab.gradedmod import trivial_module\n"
+        "from extlab.resolve import cache_path\n"
+        "from extlab.steenrod import AlgebraTable\n"
+        "cache_path('cache', trivial_module(AlgebraTable(4), 4), 2, 4)\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
