@@ -8,12 +8,12 @@ Its off-diagonal blocks tau_s are found degreewise by canonical solves of
     e_{s-1} o tau_s = tau_{s-1} o d^quot_s        (s >= 1)
 
 where tau_0 = sigma lifts the augmentation of quot through the projection,
-e_0 = incl o aug_sub, and e_s = d^sub_s.  Each tau_s(h) is checked against
-its recurrence right where it is solved, so no later pass re-reads the
-columns of tau, and they are dropped level by level.  Both resolutions
-being minimal, the dualized differentials vanish, and the connecting map
-is simply d[phi] = [phi o tau]: its matrix entry is the unit coefficient
-of a sub-generator in tau of a quot-generator.
+e_0 = incl o aug_sub, and e_s = d^sub_s.  A lift holds sigma and tau on
+generators only: the right side is tau_{s-1} evaluated on d(h), and each
+solve is checked where it is made.  Both resolutions being minimal, the
+dualized differentials vanish, and the connecting map is simply d[phi] =
+[phi o tau]: its matrix entry is the unit coefficient of a sub-generator
+in tau of a quot-generator.
 
 The composite of two boundary maps is taken per bidegree; the suspension
 re-indexing that presents it as a map out of Ext(desuspended sub) happens
@@ -36,15 +36,12 @@ class LiftError(RuntimeError):
 
 
 class ChainLift:
-    """Horseshoe data for one short exact sequence.
+    """Horseshoe data for one short exact sequence, on generators only.
 
     ``sigma[g]`` = tau_0(g) lifts the augmentation image of the g-th
-    generator of P_0(quot) into the middle module; ``tau[s][h]`` (s >= 1) is
-    the value of the splice homotopy on the h-th generator of P_s(quot), a
-    vector over the degree basis of P_{s-1}(sub).  Maps are handed out as
-    column lists (see :mod:`extlab.f2core`).  After :func:`horseshoe_lift`,
-    only sigma's columns stay memoised, for :meth:`verify`;
-    ``tau_columns`` rebuilds any other level on demand.
+    generator of P_0(quot) into mid; ``tau[s][h]`` (s >= 1) is the splice
+    homotopy on the h-th generator of P_s(quot), a vector over the degree
+    basis of P_{s-1}(sub).  :meth:`apply_tau` evaluates tau_s on any vector.
     """
 
     def __init__(self, ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution):
@@ -53,60 +50,62 @@ class ChainLift:
         self.res_quot = res_quot
         self.sigma: list[int] = []
         self.tau: list[list[int]] = [[]]  # tau_0 is sigma
-        self._tau_cols: dict[int, dict[int, list[int]]] = {}
-
-    @property
-    def max_s(self) -> int:
-        return self.res_sub.max_s
-
-    @property
-    def max_t(self) -> int:
-        return self.res_sub.max_t
 
     def tau_codomain(self, s: int):
         """Where tau_s lands: mid for s = 0, P_{s-1}(sub) after."""
         return self.ses.mid if s == 0 else self.res_sub.indexers[s - 1]
 
-    def tau_columns(self, s: int, t: int) -> list[int]:
-        """Columns of tau_s from (P_s quot)_t to its codomain in degree t."""
-        return self.res_quot.indexers[s].map_columns(
-            t, self.tau[s] if s else self.sigma, self.tau_codomain(s).apply_sq,
-            self._tau_cols.setdefault(s, {}),
-        )
+    def apply_tau(self, s: int, t: int, vec: int, memo: dict[tuple[int, int, int], int]) -> int:
+        """tau_s of a degree-t vector of P_s(quot).  Each monomial of a
+        generator's block is applied one square at a time from the right,
+        memoised in ``memo`` by (g, monomial), as ``map_columns`` builds the
+        column of (g, monomial): so the columns would give the same bits."""
+        images = self.tau[s] if s else self.sigma
+        apply_sq = self.tau_codomain(s).apply_sq
+        indexer = self.res_quot.indexers[s]
+        degrees, heads = indexer.gen_degrees, indexer.algebra.heads
+
+        def image(g: int, n: int, i: int) -> int:  # of g times monomial i of degree n
+            if n == 0:
+                return images[g]
+            got = memo.get((g, n, i))
+            if got is None:
+                a, tail = heads(n)[i]
+                got = memo[g, n, i] = apply_sq(a, degrees[g] + n - a, image(g, n - a, tail))
+            return got
+
+        out = 0
+        for g, elem in indexer.element_of(vec, t).items():
+            for i in range(elem.coords.bit_length()):
+                if elem.coords >> i & 1:
+                    out ^= image(g, elem.degree, i)
+        return out
 
     def e_columns(self, s: int, t: int) -> list[int]:
         """Columns of e_s from (P_s sub)_t to the codomain of tau_s."""
         d = self.res_sub.diff_columns(s, t)
         return compose(self.ses.inclusion.columns[t], d) if s == 0 else d
 
-    # -- invariants ---------------------------------------------------------
-
     def verify(self) -> None:
-        """Surjectivity of eps = [e_0 | sigma] onto mid, in every degree.
-
-        Mod 2, d^Q o d^Q = [[d d, d tau + tau d], [0, d d]] and
-        eps o d^Q_1 = [e_0 d_1, e_0 tau_1 + sigma d_1].  The off-diagonal
-        blocks are the recurrence, which :func:`horseshoe_lift` checks on
-        each generator right after solving it (both sides are A-linear maps
-        out of the free module P_s(quot)), and d o d = 0 on both
-        resolutions is certified when they are built or loaded.  What is
-        left is that eps is onto.
-        """
-        for t in range(self.max_t + 1):
-            if f2rank(self.e_columns(0, t) + self.tau_columns(0, t)) != self.ses.mid.dim(t):
-                raise AssertionError(f"horseshoe base not surjective at degree {t}")
+        """proj o sigma = aug_quot on every generator of P_0(quot).  Then
+        eps = [e_0 | sigma] is onto mid: its image holds im e_0 = ker proj,
+        as aug_sub is onto, and maps onto quot, as aug_quot does.  The rest
+        of the horseshoe is the recurrence the lift checks per generator."""
+        proj = self.ses.projection.columns
+        for g, t in enumerate(self.res_quot.indexers[0].gen_degrees):
+            if combine(proj[t], self.sigma[g]) != self.res_quot.targets[0][g]:
+                raise AssertionError(f"proj o sigma != aug on generator {g} at degree {t}")
 
 
 def horseshoe_lift(
     ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution
 ) -> ChainLift:
-    """Construct sigma and tau by canonical degreewise solves, and check
-    each tau_s(h) against its recurrence right after its solve.  As the
-    inclusion is injective, ker(e_0) = ker(aug_sub): solving for tau_1 in
-    one step gives what solving through the inclusion, then aug_sub, gives.
-    The columns of tau_{s-1} are read only by step s, so each level's memo
-    is dropped once that step is done; sigma's stays for
-    :meth:`ChainLift.verify`."""
+    """Construct sigma and tau by canonical degreewise solves; check sigma
+    (:meth:`ChainLift.verify`) after its solves, and each tau_s(h) against
+    its recurrence, on tau_{s-1}(d h) from :meth:`ChainLift.apply_tau`,
+    right after its solve.  As the inclusion is injective, ker(e_0) =
+    ker(aug_sub): solving for tau_1 in one step gives what solving through
+    the inclusion, then aug_sub, gives."""
     if res_sub.module is not ses.sub:
         raise ValueError("res_sub does not resolve the sequence's own sub module object")
     if res_quot.module is not ses.quot:
@@ -127,23 +126,23 @@ def horseshoe_lift(
         if t not in solvers:
             solvers[t] = Solver(proj.columns[t], proj.codomain.dim(t))
         lift.sigma.append(preimage(solvers[t], res_quot.targets[0][g], f"projection lift at t={t}"))
+    lift.verify()
 
     for s in range(1, res_sub.max_s + 1):
         solvers.clear()  # now one solver of e_{s-1} per degree, read only during this s
         below: dict[int, list[int]] = {}  # e_{s-1}'s columns, beside its solvers
+        memo: dict[tuple[int, int, int], int] = {}  # tau_{s-1} on (generator, monomial)
         target = lift.tau_codomain(s - 1)
         lift.tau.append([])
         for h, t in enumerate(res_quot.indexers[s].gen_degrees):
             if t not in solvers:
                 below[t] = lift.e_columns(s - 1, t)
                 solvers[t] = Solver(below[t], target.dim(t))
-            v = combine(lift.tau_columns(s - 1, t), res_quot.targets[s][h])
+            v = lift.apply_tau(s - 1, t, res_quot.targets[s][h], memo)
             x = preimage(solvers[t], v, f"chain-lift recurrence at (s={s}, t={t})")
             if combine(below[t], x) != v:
                 raise AssertionError(f"tau recurrence fails on generator {h} at (s={s}, t={t})")
             lift.tau[s].append(x)
-        if s > 1:
-            lift._tau_cols.pop(s - 1, None)
     return lift
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import os
-import tempfile
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from typing import Optional
@@ -245,6 +244,7 @@ def serialize_resolution(res: Resolution) -> str:
 
 def save_resolution(res: Resolution, path: str) -> None:
     """Write atomically (temp file + rename); output is byte-deterministic."""
+    import tempfile  # here, not at the top: warm runs write nothing
     dirname = os.path.dirname(os.path.abspath(path))
     os.makedirs(dirname, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".extlab-tmp-")

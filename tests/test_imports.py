@@ -192,3 +192,16 @@ def test_the_cli_does_not_load_openssl():
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_the_cli_does_not_load_tempfile():
+    """Only ``save_resolution`` makes a temporary file, so importing the CLI
+    does not import ``tempfile``, and with it ``shutil`` and ``random``.  The
+    child runs with ``-S``: ``site`` may import ``tempfile`` itself, through
+    a ``.pth`` file of an installed package."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, extlab.cli; print('tempfile' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

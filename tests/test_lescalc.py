@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from extlab.f2core import combine, compose
+from extlab.f2core import combine, compose, rank
 from extlab.gradedmod import (
     GradedModule,
     ModuleMap,
@@ -46,6 +46,24 @@ def fn_setup(alg):
     res_i = minimal_resolution(fac.I, MAX_S, MAX_T)
     res_c = minimal_resolution(fac.C, MAX_S, MAX_T)
     return fac, res_k, res_i, res_c
+
+
+def _tau_columns(lift, s, t):
+    """Columns of tau_s from (P_s quot)_t, built as the free module map
+    sending each generator to its tau value (sigma's for s = 0)."""
+    return lift.res_quot.indexers[s].map_columns(
+        t, lift.tau[s] if s else lift.sigma, lift.tau_codomain(s).apply_sq, {}
+    )
+
+
+def _lifts(spec):
+    """The scenario's K -> I and C -> I lifts, built without a cache."""
+    fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
+    res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
+    return [
+        horseshoe_lift(fac.kernel_sequence(), res[0], res[1]),
+        horseshoe_lift(fac.cokernel_sequence(), res[1], res[2]),
+    ]
 
 
 def test_horseshoe_invariants(fn_setup):
@@ -217,32 +235,46 @@ def test_lift_error_on_non_exact_sequence(alg):
         horseshoe_lift(ses, res_sub, res_quot)
 
 
-@pytest.mark.parametrize("spec", [
+SPECS_8_20 = pytest.mark.parametrize("spec", [
     ScenarioSpec("fn", 8, 20, n=2),
     ScenarioSpec("fnz", 8, 20, n=4),
     ScenarioSpec("f", 8, 20),
     ScenarioSpec("f-conj", 8, 20),
 ], ids=ScenarioSpec.describe)
+
+
+@SPECS_8_20
 def test_tau_1_is_the_two_step_solve(spec):
     """Solving tau_1 through e_0 = incl o aug in one step gives what solving
     through the inclusion, then through aug, gives with full Gauss-Jordan."""
-    fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
-    res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
     nonzero = 0
-    for ses, rs, rq in (
-        (fac.kernel_sequence(), res[0], res[1]),
-        (fac.cokernel_sequence(), res[1], res[2]),
-    ):
-        lift = horseshoe_lift(ses, rs, rq)
+    for lift in _lifts(spec):
+        ses, rs, rq = lift.ses, lift.res_sub, lift.res_quot
         two_step = []
         for h, t in enumerate(rq.indexers[1].gen_degrees):
-            w = combine(lift.tau_columns(0, t), rq.targets[1][h])
+            w = combine(_tau_columns(lift, 0, t), rq.targets[1][h])
             incl = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t))
             aug = BitMatrix.from_columns(rs.diff_columns(0, t), rs.ambient_dim(0, t))
             two_step.append(solve(aug, solve(incl, w)))
         assert lift.tau[1] == two_step
         nonzero += sum(map(bool, two_step))
     assert nonzero >= 2
+
+
+@SPECS_8_20
+def test_apply_tau_is_the_columns(spec):
+    """tau_s evaluated from its values on generators is, bit for bit, what
+    the columns of tau_s give: on every basis vector of every (P_s quot)_t,
+    and on one random vector per degree."""
+    rng = random.Random(27)
+    for lift in _lifts(spec):
+        for s in range(lift.res_sub.max_s + 1):
+            memo = {}
+            for t in range(lift.res_sub.max_t + 1):
+                cols = _tau_columns(lift, s, t)
+                assert [lift.apply_tau(s, t, 1 << j, memo) for j in range(len(cols))] == cols
+                v = rng.getrandbits(len(cols))
+                assert lift.apply_tau(s, t, v, memo) == combine(cols, v), (s, t)
 
 
 def test_lift_error_names_the_degree_where_sigma_d_1_leaves_e_0(fn_setup):
@@ -314,7 +346,7 @@ def _horseshoe_by_row_matrices(lift, s, t):
     """d^Q assembled from row matrices and per-column extraction."""
     rs, rq = lift.res_sub, lift.res_quot
     rows_sub = rs.indexers[s - 1].dim(t)
-    tau_m = BitMatrix.from_columns(lift.tau_columns(s, t), rows_sub)
+    tau_m = BitMatrix.from_columns(_tau_columns(lift, s, t), rows_sub)
     dq = BitMatrix.from_columns(rq.diff_columns(s, t), rq.ambient_dim(s, t))
     cols = list(rs.diff_columns(s, t))
     for tau_j, dq_j in zip(tau_m.columns(), dq.columns(), strict=True):
@@ -326,11 +358,11 @@ def _block_check(lift):
     """eps o d^Q_1 = 0 and d^Q o d^Q = 0 from row matrices: the horseshoe
     block check that the lift makes as one tau recurrence per generator."""
     ses, rs = lift.ses, lift.res_sub
-    for t in range(lift.max_t + 1):
+    for t in range(rs.max_t + 1):
         incl_aug = BitMatrix.from_columns(ses.inclusion.columns[t], ses.mid.dim(t)) @ (
             BitMatrix.from_columns(rs.diff_columns(0, t), rs.ambient_dim(0, t)))
-        prev = BitMatrix.from_columns(incl_aug.columns() + lift.tau_columns(0, t), ses.mid.dim(t))
-        for s in range(1, lift.max_s + 1):
+        prev = BitMatrix.from_columns(incl_aug.columns() + _tau_columns(lift, 0, t), ses.mid.dim(t))
+        for s in range(1, rs.max_s + 1):
             cur = _horseshoe_by_row_matrices(lift, s, t)
             if any((prev @ cur).data):
                 raise AssertionError(f"d^Q o d^Q != 0 at (s={s}, t={t})")
@@ -349,7 +381,7 @@ def _with_tau_bit_flipped(lift, s, h, bit):
     bad = ChainLift(lift.ses, lift.res_sub, lift.res_quot)
     bad.sigma = list(lift.sigma)
     bad.tau = [list(level) for level in lift.tau]
-    bad.tau[s][h] ^= 1 << bit
+    (bad.tau[s] if s else bad.sigma)[h] ^= 1 << bit
     return bad
 
 
@@ -389,19 +421,53 @@ def test_verify_agrees_with_horseshoe_block_check(alg, flip_solve):
             assert flipped >= 2, s
 
 
-def test_a_lift_keeps_only_the_sigma_columns():
-    # step s is the last reader of tau_{s-1}'s columns; verify reads sigma = tau_0's
-    spec = ScenarioSpec("f", 8, 18)
-    fac = factor_map(scenario_map(spec, AlgebraTable(spec.max_t)))
-    res = [minimal_resolution(m, spec.max_s, spec.max_t) for m in (fac.K, fac.I, fac.C)]
-    for ses, res_sub, res_quot in (
-        (fac.kernel_sequence(), res[0], res[1]),
-        (fac.cokernel_sequence(), res[1], res[2]),
-    ):
-        lift = horseshoe_lift(ses, res_sub, res_quot)
-        assert list(lift._tau_cols) == [0]
+def test_a_lift_holds_no_columns():
+    # sigma and each tau_s as one value per generator of P_s(quot), and nothing else
+    for lift in _lifts(ScenarioSpec("f", 8, 18)):
+        assert set(vars(lift)) == {"ses", "res_sub", "res_quot", "sigma", "tau"}
+        gens = [len(ix.gen_degrees) for ix in lift.res_quot.indexers]
+        assert [len(lift.sigma)] + [len(level) for level in lift.tau[1:]] == gens
+        assert all(type(v) is int for level in [lift.sigma, *lift.tau] for v in level)
         lift.verify()
-        assert list(lift._tau_cols) == [0]
+        assert set(vars(lift)) == {"ses", "res_sub", "res_quot", "sigma", "tau"}
+
+
+def _surjective(lift) -> bool:
+    """The pass the sigma check replaced: eps = [e_0 | sigma] is onto mid,
+    by rank, in every degree."""
+    return all(
+        rank(lift.e_columns(0, t) + _tau_columns(lift, 0, t)) == lift.ses.mid.dim(t)
+        for t in range(lift.res_sub.max_t + 1)
+    )
+
+
+def test_the_sigma_check_agrees_with_the_surjectivity_pass(flip_solve):
+    """A bit flipped in the solve of sigma(h) stops the lift, naming h and
+    its degree, exactly when it changes proj o sigma; a flip inside ker proj
+    leaves a lift whose [e_0 | sigma] is still onto mid.  So no flip passes
+    the sigma check and fails the surjectivity pass; some that it stops
+    leave eps onto mid, as the check is the stronger of the two."""
+    caught = kept = both = 0
+    for lift in _lifts(ScenarioSpec("f", 8, 18)) + _lifts(ScenarioSpec("fn", 8, 18, n=2)):
+        ses, res_sub, res_quot = lift.ses, lift.res_sub, lift.res_quot
+        assert _surjective(lift)
+        proj = ses.projection.columns
+        for h, t in enumerate(res_quot.indexers[0].gen_degrees):
+            for bit in range(ses.mid.dim(t)):
+                flip_solve(res_quot, 0, h, bit)
+                try:
+                    tampered = horseshoe_lift(ses, res_sub, res_quot)
+                except AssertionError as exc:
+                    assert proj[t][bit], (h, bit)
+                    assert f"generator {h} at degree {t}" in str(exc)
+                    both += not _surjective(_with_tau_bit_flipped(lift, 0, h, bit))
+                    caught += 1
+                else:
+                    assert not proj[t][bit], (h, bit)
+                    assert tampered.sigma[h] == lift.sigma[h] ^ 1 << bit
+                    assert _surjective(tampered), (h, bit)
+                    kept += 1
+    assert caught and kept and both, (caught, kept, both)
 
 
 def test_verify_names_a_broken_base_or_tau_1(fn_setup, flip_solve):
@@ -410,8 +476,8 @@ def test_verify_names_a_broken_base_or_tau_1(fn_setup, flip_solve):
     lift = horseshoe_lift(ses, res_k, res_i)
     bad = ChainLift(ses, res_k, res_i)
     bad.sigma, bad.tau = [0] * len(lift.sigma), lift.tau
-    # the middle module, Sigma^2 A, starts in degree 2
-    with pytest.raises(AssertionError, match="horseshoe base not surjective at degree 2"):
+    # I, the quot, is generated by the image of Sigma^2 A's generator, in degree 2
+    with pytest.raises(AssertionError, match="proj o sigma != aug on generator 0 at degree 2"):
         bad.verify()
     # tau_1 is checked by the lift itself, on the generator it has just solved
     h, t = next(
