@@ -5,10 +5,11 @@
     extlab verify   --suite all [--json-output report.json]
 
 Exit codes: 0 verified / success, 1 mathematical mismatch or internal
-invariant failure, 2 usage error (bad bounds, selectors or paths, refused
-before anything is built).  The cache directory defaults to
-``.extlab-cache``; the EXTLAB_CACHE environment variable overrides the
-default, and --cache-dir overrides both.  --no-cache disables it.
+invariant failure, 2 usage error (bad bounds, selectors or paths, an empty
+one included, refused before anything is built).  The cache directory
+defaults to ``.extlab-cache``; the EXTLAB_CACHE environment variable
+overrides the default, and --cache-dir overrides both.  --no-cache
+disables it.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def bounds(p, default_s=12, default_t=28):
-        p.add_argument("--max-s", type=int, default=default_s, metavar="S",
-                       help=f"homological bound (default {default_s})")
-        p.add_argument("--max-t", type=int, default=default_t, metavar="T",
-                       help=f"internal degree bound (default {default_t})")
+    def bounds(p):
+        p.add_argument("--max-s", type=int, default=12, metavar="S",
+                       help="homological bound (default 12)")
+        p.add_argument("--max-t", type=int, default=28, metavar="T",
+                       help="internal degree bound (default 28)")
         p.add_argument("--cache-dir", default=None, help="resolution cache directory")
         p.add_argument("--no-cache", action="store_true", help="disable the resolution cache")
 
@@ -71,11 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_dir(args, parser: argparse.ArgumentParser) -> Optional[str]:
-    """The cache directory, or None; exit 2 when a path on the way to it
-    exists and is not a directory, since the cache could not be written."""
+    """The cache directory, or None; exit 2 when it is empty, or when a path
+    on the way to it exists and is not a directory, since the cache could
+    not be written."""
     if args.no_cache:
         return None
-    path = args.cache_dir or os.environ.get("EXTLAB_CACHE", ".extlab-cache")
+    path = args.cache_dir
+    if path is None:
+        path = os.environ.get("EXTLAB_CACHE", ".extlab-cache")
+    if not path:
+        parser.error("the cache directory (--cache-dir or EXTLAB_CACHE) is empty")
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
@@ -88,6 +94,8 @@ def _check_output(parser: argparse.ArgumentParser, flag: str, path: Optional[str
     """Exit 2 unless ``path`` can name a file in an existing directory."""
     if path is None:
         return
+    if not path:
+        parser.error(f"{flag} is empty")
     if os.path.isdir(path):
         parser.error(f"{flag} {path} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):

@@ -122,7 +122,7 @@ class Subspace:
 def rank(vectors: Iterable[int]) -> int:
     """Dimension of the span of ``vectors``: the rank of a matrix given by
     its rows (``m.data``) or by its columns alike."""
-    acc = EchelonAccumulator(0)  # the width matters only to subspace()
+    acc = EchelonAccumulator()
     for v in vectors:
         acc.add(v)
     return acc.rank
@@ -193,13 +193,13 @@ class EchelonAccumulator:
     agree bit for bit with reduction against the reduced echelon basis.
 
     ``add`` returns the remainder (0 if v is in the span) and, when it is
-    nonzero, stores it as a row.
+    nonzero, stores it as a row.  The span holds no width: ``subspace(n)``
+    takes the n of F2^n that its rows lie in.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_lead")
+    __slots__ = ("_rows", "_lead")
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self):
         self._rows: dict[int, int] = {}
         self._lead = 0
 
@@ -224,9 +224,9 @@ class EchelonAccumulator:
             self._lead |= 1 << p
         return v
 
-    def subspace(self) -> Subspace:
-        """The span in reduced echelon form (:func:`reduced`)."""
-        return reduced(self._rows.values(), self.ambient_dim)
+    def subspace(self, n: int) -> Subspace:
+        """The span, a subspace of F2^n, in reduced echelon form (:func:`reduced`)."""
+        return reduced(self._rows.values(), n)
 
 
 def reduced(vectors: Iterable[int], n: int) -> Subspace:
@@ -264,7 +264,7 @@ def reduced(vectors: Iterable[int], n: int) -> Subspace:
 def _graph(columns: Sequence[int], rows: int) -> EchelonAccumulator:
     """Semi-echelon span of the graph vectors ``(c_j << n) | 1 << j`` of n columns."""
     n = len(columns)
-    graph = EchelonAccumulator(rows + n)
+    graph = EchelonAccumulator()
     for j, c in enumerate(columns):
         if c >> rows:
             raise F2Error("column has bits set beyond row count")
@@ -283,7 +283,7 @@ def image_and_kernel(columns: Sequence[int], rows: int) -> tuple[EchelonAccumula
     """
     n = len(columns)
     graph = _graph(columns, rows)
-    image, kernel = EchelonAccumulator(rows), []
+    image, kernel = EchelonAccumulator(), []
     for p, r in graph._rows.items():
         if p >= n:
             image._rows[p - n] = r >> n

@@ -185,11 +185,12 @@ class ModuleMap:
     def apply(self, t: int, v: int) -> int:
         return combine(self.columns[t], v)
 
-    def check_linearity(self, ks: Optional[Sequence[int]] = None) -> None:
-        """columns[t+k] o dom.action = cod.action o columns[t] for all k, t in range."""
+    def check_linearity(self) -> None:
+        """columns[t+k] o dom.action = cod.action o columns[t] for k = 1, 2, 4,
+        8, ... and every t in range.  These Sq^k generate the algebra, so
+        linearity over them is linearity over every Sq^k."""
         bound = self.max_t
-        krange = ks if ks is not None else range(1, bound + 1)
-        for k in krange:
+        for k in (1 << i for i in range(bound.bit_length())):
             for t in range(0, bound - k + 1):
                 lhs = compose(self.columns[t + k], self.domain.action(k, t))
                 rhs = compose(self.codomain.action(k, t), self.columns[t])
@@ -197,10 +198,9 @@ class ModuleMap:
                     raise ExactnessError(f"map is not linear over Sq^{k} at degree {t}")
 
 
-def trivial_module(algebra: AlgebraTable, max_t: int, shift: int = 0) -> GradedModule:
-    """The module F2 concentrated in one degree, with zero action."""
-    dims = [1 if t == shift else 0 for t in range(max_t + 1)]
-    return GradedModule(algebra, max_t, dims, {})
+def trivial_module(algebra: AlgebraTable, max_t: int) -> GradedModule:
+    """The module F2 in degree 0, with zero action."""
+    return GradedModule(algebra, max_t, [1] + [0] * max_t, {})
 
 
 class FreeIndexer:
@@ -357,7 +357,7 @@ def map_from_generators(
         basis.map_columns(t, targets, codomain.apply_sq, memo)
         for t in range(bound + 1)
     ))
-    mp.check_linearity(ks=_generating_squares(bound))
+    mp.check_linearity()
     return mp
 
 
@@ -450,11 +450,11 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     """Degreewise kernel, image and cokernel of f, with induced actions.
 
     Both short exact sequences are checked degree by degree, and the two
-    projections p_I and p_C for linearity over the generating squares.  That
-    certifies the inclusions as well: ker p_I = K and ker p_C = I, so a
-    linear projection makes its kernel closed under each Sq^(2^i), hence a
-    submodule, on which :func:`inclusion_map`'s pivot read is exact and i_K
-    and i_I are linear.
+    projections p_I and p_C for linearity over the generating squares
+    (:meth:`ModuleMap.check_linearity`).  That certifies the inclusions as
+    well: ker p_I = K and ker p_C = I, so a linear projection makes its
+    kernel closed under each Sq^(2^i), hence a submodule, on which
+    :func:`inclusion_map`'s pivot read is exact and i_K and i_I are linear.
     """
     dom, cod = f.domain, f.codomain
     bound = f.max_t
@@ -462,7 +462,7 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     for t in range(bound + 1):
         image, kernel = image_and_kernel(f.columns[t], cod.dim(t))
         kers.append(reduced(kernel, dom.dim(t)))
-        imgs.append(image.subspace())
+        imgs.append(image.subspace(cod.dim(t)))
     i_K = inclusion_map(dom, kers)
     i_I = inclusion_map(cod, imgs)
     p_C = quotient_map(cod, imgs)
@@ -475,14 +475,8 @@ def factor_map(f: ModuleMap) -> FactoredMap:
     fac.kernel_sequence().check_exact()
     fac.cokernel_sequence().check_exact()
     for mp in (p_I, p_C):
-        mp.check_linearity(ks=_generating_squares(bound))
+        mp.check_linearity()
     return fac
-
-
-def _generating_squares(bound: int) -> list[int]:
-    """k = 1, 2, 4, 8, ... up to bound: the Sq^k that generate the algebra, so
-    linearity over them is linearity over every Sq^k."""
-    return [1 << i for i in range(bound.bit_length())]
 
 
 def sq1_quotient(algebra: AlgebraTable, max_t: int) -> ModuleMap:
@@ -505,5 +499,5 @@ def sq1_quotient(algebra: AlgebraTable, max_t: int) -> ModuleMap:
     window = [(k, t) for k in range(1, max_t + 1) for t in range(max_t - k + 1)]
     actions = {key: p.codomain.action(*key) for key in window}
     p = ModuleMap(free, GradedModule(algebra, max_t, p.codomain.dims, actions), p.columns)
-    p.check_linearity(ks=_generating_squares(max_t))
+    p.check_linearity()
     return p

@@ -74,15 +74,15 @@ def ascii_chart(chart, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def svg_chart(chart, title: str = "") -> str:
+def svg_chart(chart, title: str) -> str:
     from xml.sax.saxutils import escape  # imports urllib and ssl: only SVG output pays
 
     lat = _lattice(chart)
     cell = 24
     margin = 40
     width = margin * 2 + (lat.max_stem + 1) * cell
-    height = margin * 2 + (lat.max_filt + 1) * cell + (20 if title else 0)
-    top = margin + (20 if title else 0)
+    height = margin * 2 + (lat.max_filt + 1) * cell + 20
+    top = margin + 20
 
     def x_of(stem):
         return margin + stem * cell + cell // 2
@@ -95,12 +95,9 @@ def svg_chart(chart, title: str = "") -> str:
         f'<svg version="1.1" xmlns="http://www.w3.org/2000/svg" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{margin}" y="{margin - 16}" font-family="monospace" '
+        f'font-size="14">{escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{margin}" y="{margin - 16}" font-family="monospace" '
-            f'font-size="14">{escape(title)}</text>'
-        )
     # light grid
     for stem in range(lat.max_stem + 2):
         x = margin + stem * cell

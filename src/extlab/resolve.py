@@ -148,7 +148,7 @@ class Resolution:
                 first, last = bisect_left(degrees, t), bisect_right(degrees, t)
                 cols = self.diff_columns(s, t)  # the new generators' columns come last
                 old = len(cols) - (last - first)
-                acc = EchelonAccumulator(self.ambient_dim(s, t))
+                acc = EchelonAccumulator()
                 for c in cols[:old]:
                     acc.add(c)
                 below = self.indexers[s - 1] if s else None
@@ -360,12 +360,10 @@ def cache_path(cache_dir: str, module: GradedModule, max_s: int, max_t: int) -> 
 
 
 def cached_resolution(
-    module: GradedModule,
-    max_s: int,
-    max_t: int,
-    cache_dir: Optional[str] = None,
+    module: GradedModule, max_s: int, max_t: int, cache_dir: Optional[str]
 ) -> Resolution:
     """Resolve through the cache: load on hit, compute and store on miss.
+    With ``cache_dir`` None, only compute.
 
     A hit and a miss are logged at INFO, naming the file.  A cache file that
     fails to load, or holds another window than the one requested, is logged

@@ -284,18 +284,14 @@ def scenario_map(spec: ScenarioSpec, algebra: Optional[AlgebraTable] = None):
     return map_from_generators(dom, cod, targets)
 
 
-def build_scenario(
-    spec: ScenarioSpec,
-    algebra: Optional[AlgebraTable] = None,
-    cache_dir: Optional[str] = None,
-) -> ScenarioResult:
+def build_scenario(spec: ScenarioSpec, cache_dir: Optional[str] = None) -> ScenarioResult:
     """Build, factor, resolve, lift, compose, gate, assemble.
 
     Resolves C, then I and lifts C -> I, then K and lifts K -> I, dropping
     each resolution's column memo after its last reader; the lifts check
     themselves.  The resolutions handed back refill their memos when read.
     """
-    f = scenario_map(spec, algebra)
+    f = scenario_map(spec)
     fac = factor_map(f)
     res_c = cached_resolution(fac.C, spec.max_s, spec.max_t, cache_dir)
     res_c.forget_columns()
@@ -379,7 +375,7 @@ def _unique_class_filtration(chart: E3Chart, stem: int) -> int:
 def compare_projection_filtration(
     big: ScenarioResult,
     singles: list[ScenarioResult],
-    require: Optional[list[int]] = None,
+    require: list[int],
 ) -> list[FiltrationDelta]:
     """Filtration of the odd-stem class in the big fiber vs its projection target.
 
@@ -399,10 +395,9 @@ def compare_projection_filtration(
         if res.spec.kind != "fnz":
             raise ValueError("comparison scenarios must be integral single-square fibers")
         by_n[res.spec.n] = res
-    if require is not None:
-        missing = [i for i in require if 2 * i not in by_n]
-        if missing:
-            raise ValueError(f"missing counterpart scenarios for i in {missing}")
+    missing = [i for i in require if 2 * i not in by_n]
+    if missing:
+        raise ValueError(f"missing counterpart scenarios for i in {missing}")
     out = []
     for n in sorted(by_n):
         single = by_n[n]

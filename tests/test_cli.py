@@ -173,6 +173,44 @@ def test_verify_json_output_into_a_missing_directory_exits_2_before_running(
     assert f"--json-output {output}: no directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_an_empty_cache_dir_exits_2_before_building(
+        command, how, guard_construction, monkeypatch, tmp_path, capsys):
+    """An empty EXTLAB_CACHE or --cache-dir is refused, not read as the
+    current directory or as no value at all."""
+    monkeypatch.chdir(tmp_path)
+    argv = [*command, "--max-s", "2", "--max-t", "4"]
+    if how == "env":
+        monkeypatch.setenv("EXTLAB_CACHE", "")
+    else:
+        argv += ["--cache-dir", ""]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "cache directory (--cache-dir or EXTLAB_CACHE) is empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_an_empty_output_exits_2_before_building(command, guard_construction, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--max-s", "4", "--max-t", "10", "--no-cache", "--output", ""])
+    assert info.value.code == 2
+    assert "--output is empty" in capsys.readouterr().err
+
+
+def test_an_empty_json_output_exits_2_before_running(monkeypatch, capsys):
+    def refuse(names):
+        raise _Built("run_suites")
+
+    monkeypatch.setattr(cli, "run_suites", refuse)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "steenrod", "--json-output", ""])
+    assert info.value.code == 2
+    assert "--json-output is empty" in capsys.readouterr().err
+
+
 def test_scenario_ok(capsys, tmp_path):
     code, out, err = run(
         ["scenario", "--kind", "fn", "--n", "2", "--max-s", "8", "--max-t", "16",

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, every
-top-level name and method is referenced, and the CLI loads no more than
-it runs."""
+top-level name and method is referenced, every defaulted parameter is both
+passed and left out, and the CLI loads no more than it runs."""
 
 import ast
 import importlib.util
@@ -205,3 +205,76 @@ def test_the_cli_does_not_load_tempfile():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def _defaulted_parameters(path: Path):
+    """(key, label, offset, name, index) per defaulted parameter of each
+    function or method in a library file.  ``key`` is the name a call
+    reaches it by (the class name for ``__init__``), ``offset`` the
+    positional arguments no call writes (1 for ``self``), and ``index`` the
+    parameter's position, None for a keyword-only one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {id(member): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for member in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        key = cls.name if cls and node.name == "__init__" else node.name
+        label = f"{path.stem}.{cls.name + '.' if cls else ''}{node.name}"
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        offset = 1 if cls and not static else 0
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield key, label, offset, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield key, label, offset, arg.arg, None
+
+
+def _calls(path: Path):
+    """(name, call) for each call in a file, naming the callee by its
+    attribute name or by the name it was imported under."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names if a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield aliases.get(node.func.id, node.func.id), node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def _one_value_parameters() -> list[str]:
+    """``function(parameter): never passed`` or ``never left out`` for each
+    defaulted parameter of the library that the calls in the library and
+    the benchmark reach with one value only.  A call that spreads ``*args``
+    or ``**kw`` counts as passing every parameter."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+        for name, call in _calls(path):
+            calls.setdefault(name, []).append(call)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for key, label, offset, name, index in _defaulted_parameters(path):
+            passed = left_out = False
+            for call in calls.get(key, []):
+                given = (any(isinstance(a, ast.Starred) for a in call.args)
+                         or any(k.arg in (None, name) for k in call.keywords)
+                         or index is not None and offset + len(call.args) > index)
+                passed |= given
+                left_out |= not given
+            if not (passed and left_out):
+                found.append(f"{label}({name}): never {'passed' if left_out else 'left out'}")
+    return sorted(found)
+
+
+def test_every_default_is_both_passed_and_left_out():
+    """A defaulted parameter that every call passes, or that no call
+    passes, is an option with one value in use: a required parameter or a
+    constant says the same with one configuration fewer."""
+    found = _one_value_parameters()
+    assert not found, f"defaulted parameters that one value reaches: {found}"

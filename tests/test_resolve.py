@@ -208,6 +208,26 @@ def test_load_version_mismatch(tmp_path, alg, res_f2):
         load_resolution(path, trivial_module(alg, 14), 6, 14)
 
 
+def test_load_a_directory(tmp_path, alg):
+    with pytest.raises(CacheError, match="cannot read"):
+        load_resolution(str(tmp_path), trivial_module(alg, 14), 6, 14)
+
+
+def test_a_failed_save_leaves_no_temp_file_and_the_old_file(tmp_path, alg, res_f2, monkeypatch):
+    path = tmp_path / "f2.extres"
+    save_resolution(res_f2, str(path))
+    before = path.read_bytes()
+
+    def refuse(res):
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr(extlab.resolve, "serialize_resolution", refuse)
+    with pytest.raises(RuntimeError, match="serialization failed"):
+        save_resolution(res_f2, str(path))
+    assert os.listdir(tmp_path) == ["f2.extres"]
+    assert path.read_bytes() == before
+
+
 def test_cached_resolution(tmp_path, alg):
     cache = str(tmp_path / "cache")
     module = trivial_module(alg, 10)

@@ -229,7 +229,7 @@ def test_filtration_comparison(fbig):
     singles = [
         build_scenario(ScenarioSpec("fnz", 6, 2 * i + 10, n=2 * i)) for i in (1, 2, 3, 4)
     ]
-    deltas = compare_projection_filtration(fbig, singles)
+    deltas = compare_projection_filtration(fbig, singles, require=[1, 2, 3, 4])
     assert [d.i for d in deltas] == [1, 2, 3, 4]
     for d in deltas:
         if d.i & (d.i - 1) == 0:
@@ -241,7 +241,7 @@ def test_filtration_comparison(fbig):
 
 def test_filtration_comparison_missing_counterpart(fbig):
     with pytest.raises(ValueError):
-        compare_projection_filtration(fbig, [fbig])  # not an fnz result
+        compare_projection_filtration(fbig, [fbig], require=[])  # not an fnz result
     single = build_scenario(ScenarioSpec("fnz", 6, 12, n=2))
     with pytest.raises(ValueError, match="missing counterpart"):
         compare_projection_filtration(fbig, [single], require=[1, 3])
