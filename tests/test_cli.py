@@ -281,6 +281,26 @@ def test_scenario_json_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the ascii and svg stdout of a page and of an Ext chart, and of the
+# json of a failing gate, taken while pages and Ext charts had separate types
+@pytest.mark.parametrize("argv, code, digest", [
+    (["scenario", "--kind", "f", "--max-s", "10", "--max-t", "26"], 0,
+     "116e09f857cc2e7ca68aacd10a8388f99e26b297cea36e042baf83993275fc6b"),
+    (["scenario", "--kind", "f", "--max-s", "10", "--max-t", "26", "--format", "svg"], 0,
+     "784f3aa989cc0fcab51dcafa6b900f789bc5b7bf2f232d3f31f968688bd940f6"),
+    (["resolve", "--module", "f2", "--max-s", "10", "--max-t", "26"], 0,
+     "d168460844b6b6dabcc31a9e62054fc377a23126dc337a5927a45f8861eee355"),
+    (["resolve", "--module", "f2", "--max-s", "10", "--max-t", "26", "--format", "svg"], 0,
+     "9968e085d2178d4f6b98c859a64dca06ada5e7cf34d66bba924c2834db37b490"),
+    (["scenario", "--kind", "fnz", "--n", "1", "--max-s", "6", "--max-t", "14", "--format", "json"], 1,
+     "7b6883573d7735cacb6859da1937a5c6de1f4a619733a4af923ec76fb436ed11"),
+])
+def test_rendered_stdout_bytes(argv, code, digest, capsys):
+    got, out, _ = run([*argv, "--no-cache"], capsys)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_scenario_svg_output(capsys, tmp_path):
     out_path = tmp_path / "chart.svg"
     code, _, _ = run(
