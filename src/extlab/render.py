@@ -1,8 +1,8 @@
 """Chart rendering: ASCII, SVG 1.1, and versioned JSON.
 
-Every chart is drawn on the same lattice: stems (t - s) run horizontally,
-Adams filtration s runs vertically.  SVG output is static; class
-annotations become hover titles.
+Ext charts and collapsed pages are both ExtCharts, drawn on one lattice:
+stems (t - s) run horizontally, Adams filtration s runs vertically.  SVG
+output is static; a page's class labels become hover titles.
 """
 
 from __future__ import annotations
@@ -11,84 +11,48 @@ import json
 from typing import Optional
 
 from .resolve import ExtChart
-from .scenarios import E3Chart, expected_e3
+from .scenarios import expected_e3
 
 CHART_SCHEMA = "extlab.chart/1"
 SCENARIO_SCHEMA = "extlab.scenario/1"
 VERIFY_SCHEMA = "extlab.verify/1"
 
 
-class _Lattice:
-    """Uniform (stem, filtration) view over both chart types."""
-
-    def __init__(self, max_stem, max_filt, dim, labels):
-        self.max_stem = max_stem
-        self.max_filt = max_filt
-        self.dim = dim
-        self.labels = labels
-
-
-def _lattice(chart) -> _Lattice:
-    if isinstance(chart, ExtChart):
-        return _Lattice(
-            max_stem=chart.max_t,
-            max_filt=chart.max_s,
-            dim=lambda stem, filt: chart.dim(filt, stem + filt),
-            labels=lambda stem, filt: (),
-        )
-    if isinstance(chart, E3Chart):
-        return _Lattice(
-            max_stem=chart.max_total,
-            max_filt=chart.max_filt,
-            dim=chart.dim,
-            labels=lambda stem, filt: chart.annotations.get((stem, filt), ()),
-        )
-    raise TypeError(f"cannot render {type(chart).__name__}")
-
-
-def ascii_chart(chart, title: str = "") -> str:
+def ascii_chart(chart: ExtChart, title: str = "") -> str:
     """Filtration rows top-down, one cell per stem; dots are empty cells."""
-    lat = _lattice(chart)
-    width = max(
-        2,
-        1 + max(
-            (len(str(lat.dim(x, y))) for x in range(lat.max_stem + 1)
-             for y in range(lat.max_filt + 1)),
-            default=1,
-        ),
-    )
+    width = max(2, 1 + max(len(str(d)) for row in chart.dims for d in row))
     lines = []
     if title:
         lines.append(title)
-    for filt in range(lat.max_filt, -1, -1):
+    for filt in range(chart.max_s, -1, -1):
         cells = []
-        for stem in range(lat.max_stem + 1):
-            d = lat.dim(stem, filt)
+        for stem in range(chart.max_t + 1):
+            d = chart.dim(filt, stem + filt)
             cells.append((str(d) if d else ".").rjust(width))
         lines.append(f"s={filt:>2} |" + "".join(cells))
-    lines.append("     +" + "-" * ((lat.max_stem + 1) * width))
+    lines.append("     +" + "-" * ((chart.max_t + 1) * width))
     stems = "".join(
-        (str(stem) if stem % 5 == 0 else "").rjust(width) for stem in range(lat.max_stem + 1)
+        (str(stem) if stem % 5 == 0 else "").rjust(width) for stem in range(chart.max_t + 1)
     )
     lines.append("      " + stems + "   (stem)")
     return "\n".join(lines) + "\n"
 
 
-def svg_chart(chart, title: str) -> str:
+def svg_chart(chart: ExtChart, title: str) -> str:
     from xml.sax.saxutils import escape  # imports urllib and ssl: only SVG output pays
 
-    lat = _lattice(chart)
+    max_stem, max_filt = chart.max_t, chart.max_s
     cell = 24
     margin = 40
-    width = margin * 2 + (lat.max_stem + 1) * cell
-    height = margin * 2 + (lat.max_filt + 1) * cell + 20
+    width = margin * 2 + (max_stem + 1) * cell
+    height = margin * 2 + (max_filt + 1) * cell + 20
     top = margin + 20
 
     def x_of(stem):
         return margin + stem * cell + cell // 2
 
     def y_of(filt):
-        return top + (lat.max_filt - filt) * cell + cell // 2
+        return top + (max_filt - filt) * cell + cell // 2
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -99,34 +63,34 @@ def svg_chart(chart, title: str) -> str:
         f'font-size="14">{escape(title)}</text>',
     ]
     # light grid
-    for stem in range(lat.max_stem + 2):
+    for stem in range(max_stem + 2):
         x = margin + stem * cell
         parts.append(
             f'<line x1="{x}" y1="{top}" x2="{x}" '
-            f'y2="{top + (lat.max_filt + 1) * cell}" stroke="#eeeeee"/>'
+            f'y2="{top + (max_filt + 1) * cell}" stroke="#eeeeee"/>'
         )
-    for filt in range(lat.max_filt + 2):
+    for filt in range(max_filt + 2):
         y = top + filt * cell
         parts.append(
-            f'<line x1="{margin}" y1="{y}" x2="{margin + (lat.max_stem + 1) * cell}" '
+            f'<line x1="{margin}" y1="{y}" x2="{margin + (max_stem + 1) * cell}" '
             f'y2="{y}" stroke="#eeeeee"/>'
         )
-    for stem in range(0, lat.max_stem + 1, 5):
+    for stem in range(0, max_stem + 1, 5):
         parts.append(
-            f'<text x="{x_of(stem)}" y="{top + (lat.max_filt + 1) * cell + 14}" '
+            f'<text x="{x_of(stem)}" y="{top + (max_filt + 1) * cell + 14}" '
             f'font-family="monospace" font-size="10" text-anchor="middle">{stem}</text>'
         )
-    for filt in range(0, lat.max_filt + 1, 2):
+    for filt in range(0, max_filt + 1, 2):
         parts.append(
             f'<text x="{margin - 8}" y="{y_of(filt) + 3}" font-family="monospace" '
             f'font-size="10" text-anchor="end">{filt}</text>'
         )
-    for stem in range(lat.max_stem + 1):
-        for filt in range(lat.max_filt + 1):
-            d = lat.dim(stem, filt)
+    for stem in range(max_stem + 1):
+        for filt in range(max_filt + 1):
+            d = chart.dim(filt, stem + filt)
             if not d:
                 continue
-            labels = lat.labels(stem, filt)
+            labels = chart.labels.get((filt, stem + filt), ())
             hover = f"({stem}, {filt}): dim {d}"
             if labels:
                 hover += " " + " ".join(labels)
@@ -153,18 +117,20 @@ def ext_chart_json(chart: ExtChart, kind: str) -> dict:
     }
 
 
-def e3_chart_json(chart: E3Chart) -> dict:
+def e3_chart_json(page: ExtChart) -> dict:
+    """A page's nonzero entries in (stem, filtration) order."""
+    cells = sorted((t - s, s) for s, row in enumerate(page.dims) for t, d in enumerate(row) if d)
     return {
-        "max_filt": chart.max_filt,
-        "max_total": chart.max_total,
+        "max_filt": page.max_s,
+        "max_total": page.max_t,
         "entries": [
             {
                 "stem": stem,
-                "filtration": filt,
-                "dim": dim,
-                "labels": list(chart.annotations.get((stem, filt), ())),
+                "filtration": s,
+                "dim": page.dims[s][stem + s],
+                "labels": list(page.labels.get((s, stem + s), ())),
             }
-            for (stem, filt), dim in sorted(chart.entries.items())
+            for stem, s in cells
         ],
     }
 

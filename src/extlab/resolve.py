@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
@@ -51,11 +51,16 @@ class CacheError(ValueError):
 
 @dataclass(frozen=True)
 class ExtChart:
-    """Generator counts of a minimal resolution: dims[s][t] = dim Ext^{s,t}."""
+    """A bigraded table, dims[s][t] for s <= max_s, t <= max_t; 0 outside.
+
+    For a resolution, dim Ext^{s,t}: its generator counts.  For a collapsed
+    page, dim E_3^{s,t}, with ``labels`` naming its classes at (s, t).
+    """
 
     max_s: int
     max_t: int
     dims: tuple[tuple[int, ...], ...]
+    labels: dict[tuple[int, int], tuple[str, ...]] = field(default_factory=dict, hash=False)
 
     def dim(self, s: int, t: int) -> int:
         if 0 <= s <= self.max_s and 0 <= t <= self.max_t:
@@ -188,11 +193,11 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
     res = Resolution(module, max_s, max_t)
     for t in range(max_t + 1):
         kernel = [1 << j for j in range(module.dim(t))]  # M_t, then ker d_{s-1} at t
+        prev: list[int] = []  # columns of d_{s-1} at t
         for s in range(max_s + 1):
-            cols = res.diff_columns(s, t)  # columns over old generators only
+            cols = res.diff_columns(s, t)  # the memo's list, over old generators only
             rows = res.ambient_dim(s, t)
             image, next_kernel = image_and_kernel(cols, rows)
-            new_cols = list(cols)
             if image.rank < len(kernel):  # the image falls short of ker d_{s-1}
                 candidates = reduced(kernel, rows).rows if s else kernel
                 for v in candidates:
@@ -200,12 +205,12 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
                     if r == 0:
                         continue
                     g = res.indexers[s].add_generator(t)
-                    if s and combine(res._cols[s - 1][t], r):
+                    if s and combine(prev, r):
                         raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")
                     res.targets[s].append(r)
-                    new_cols.append(r)
-            res._cols[s][t] = new_cols
+                    cols.append(r)  # extends the memo with the new generator's column
             kernel = next_kernel
+            prev = cols
     return res
 
 

@@ -22,14 +22,16 @@ resolves I, runs the C -> I lift and drops I's memo; then resolves K, runs
 the K -> I lift and drops K's memo.  Each lift checks its solves as it
 makes them, so no pass over the degrees follows it.
 
-Charts carry explicit certified windows: filtration up to max_s - 2 and
-internal degree up to max_t - 1 (boundary data one column short of the
-resolution bound is not trustworthy).  Nothing is claimed outside.
+A page is an :class:`~extlab.resolve.ExtChart` indexed by (s, t) like the
+Ext it comes from, with its classes named in ``labels``; renderers read it
+at (stem, filtration) = (t - s, s).  Its window is the certified one:
+s up to max_s - 2 and t up to max_t - 1 (boundary data one column short of
+the resolution bound is not trustworthy).  Nothing is claimed outside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .gradedmod import (
@@ -83,49 +85,6 @@ class ScenarioSpec:
         if self.kind in ("fn", "fnz"):
             return f"{self.kind}(n={self.n})"
         return self.kind
-
-
-@dataclass
-class E3Chart:
-    """A collapsed page in (stem, filtration) coordinates.
-
-    ``max_filt`` and ``max_total`` delimit the certified window: an entry at
-    (stem, filt) is certified iff filt <= max_filt and stem + filt <=
-    max_total.  Entries outside the window are never stored.
-    """
-
-    max_filt: int
-    max_total: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    annotations: dict[tuple[int, int], tuple[str, ...]] = field(default_factory=dict)
-
-    def certified(self, stem: int, filt: int) -> bool:
-        return 0 <= filt <= self.max_filt and stem >= 0 and stem + filt <= self.max_total
-
-    def dim(self, stem: int, filt: int) -> int:
-        return self.entries.get((stem, filt), 0)
-
-    def cells(self) -> list[tuple[int, int]]:
-        """All certified lattice points, stem-major."""
-        return [
-            (stem, filt)
-            for stem in range(self.max_total + 1)
-            for filt in range(min(self.max_filt, self.max_total - stem) + 1)
-        ]
-
-    def diff(self, other: "E3Chart") -> list[tuple[int, int, int, int]]:
-        """(stem, filt, self dim, other dim) wherever they disagree, over the
-        common certified window."""
-        window = [
-            (stem, filt)
-            for (stem, filt) in self.cells()
-            if other.certified(stem, filt)
-        ]
-        return [
-            (stem, filt, self.dim(stem, filt), other.dim(stem, filt))
-            for (stem, filt) in window
-            if self.dim(stem, filt) != other.dim(stem, filt)
-        ]
 
 
 @dataclass
@@ -187,23 +146,27 @@ def expected_pattern(spec: ScenarioSpec) -> ExpectedPattern:
     return ExpectedPattern(kernel=kernel, coker=coker, annotate=annotate)
 
 
-def _page(max_filt, max_total, kernel, coker, annotate) -> E3Chart:
-    """The page kernel + coker over a certified window: (stem, filt) read at
-    the bidegree (s, t) = (filt, stem + filt)."""
-    chart = E3Chart(max_filt=max_filt, max_total=max_total)
-    for stem, filt in chart.cells():
-        dim = kernel(filt, stem + filt) + coker(filt, stem + filt)
-        if dim:
-            chart.entries[(stem, filt)] = dim
-            labels = annotate(stem, filt)
-            if labels:
-                chart.annotations[(stem, filt)] = labels
-    return chart
+def _page(max_s, max_t, kernel, coker, annotate) -> ExtChart:
+    """The page kernel + coker over the window s <= max_s, t <= max_t.
+
+    Stems are never negative, so below t = s the page stores 0.  A class at
+    (s, t) is named by ``annotate(t - s, s)``, in (stem, filtration).
+    """
+    dims = tuple(
+        tuple(kernel(s, t) + coker(s, t) if t >= s else 0 for t in range(max_t + 1))
+        for s in range(max_s + 1)
+    )
+    labels = {
+        (s, t): names
+        for s, row in enumerate(dims) for t, d in enumerate(row)
+        if d and (names := annotate(t - s, s))
+    }
+    return ExtChart(max_s, max_t, dims, labels)
 
 
 def assemble_e3(
     beta: BoundaryMap, pattern: ExpectedPattern
-) -> tuple[Optional[E3Chart], HypothesisReport]:
+) -> tuple[Optional[ExtChart], HypothesisReport]:
     """Gate on the expected kernel/cokernel pattern, then read off the page.
 
     Emits no chart when any bidegree disagrees.
@@ -226,7 +189,7 @@ def assemble_e3(
     return _page(beta.max_s, beta.max_t, beta.kernel_dim, beta.coker_dim, pattern.annotate), report
 
 
-def expected_e3(spec: ScenarioSpec) -> E3Chart:
+def expected_e3(spec: ScenarioSpec) -> ExtChart:
     """The page the scenario's pattern demands, kernel + coker, over the
     certified window."""
     pattern = expected_pattern(spec)
@@ -244,7 +207,7 @@ class ScenarioResult:
     d_ci: BoundaryMap
     beta: BoundaryMap
     hypothesis: HypothesisReport
-    e3: Optional[E3Chart]
+    e3: Optional[ExtChart]
 
     @property
     def chart_i(self) -> ExtChart:
@@ -309,13 +272,22 @@ def build_scenario(spec: ScenarioSpec, cache_dir: Optional[str] = None) -> Scena
 
 
 def verify_scenario(result: ScenarioResult) -> list[tuple[int, int, int, int]]:
-    """Entrywise diff of the assembled page against the closed form.
+    """(stem, filt, assembled dim, expected dim), stem-major, wherever the
+    assembled page and the closed form disagree in the window both certify.
 
     Empty list = pass.  Requires an assembled page.
     """
-    if result.e3 is None:
+    got = result.e3
+    if got is None:
         raise ValueError("scenario has no assembled page (hypothesis failed)")
-    return result.e3.diff(expected_e3(result.spec))
+    want = expected_e3(result.spec)
+    max_s, max_t = min(got.max_s, want.max_s), min(got.max_t, want.max_t)
+    return [
+        (stem, s, got.dim(s, stem + s), want.dim(s, stem + s))
+        for stem in range(max_t + 1)
+        for s in range(min(max_s, max_t - stem) + 1)
+        if got.dim(s, stem + s) != want.dim(s, stem + s)
+    ]
 
 
 def kernel_image_lemma_check(result: ScenarioResult) -> HypothesisReport:
@@ -361,12 +333,8 @@ class FiltrationDelta:
     filt_single: int
 
 
-def _unique_class_filtration(chart: E3Chart, stem: int) -> int:
-    filts = [
-        filt
-        for filt in range(chart.max_filt + 1)
-        if chart.certified(stem, filt) and chart.dim(stem, filt)
-    ]
+def _unique_class_filtration(page: ExtChart, stem: int) -> int:
+    filts = [s for s in range(page.max_s + 1) if page.dim(s, stem + s)]
     if len(filts) != 1:
         raise ValueError(f"stem {stem} does not carry a unique class: filtrations {filts}")
     return filts[0]
@@ -407,7 +375,7 @@ def compare_projection_filtration(
             raise ValueError("comparison needs even n")
         i = n // 2
         stem = n - 1
-        if not big.e3.certified(stem, 1) or not single.e3.certified(stem, 1):
+        if any(page.max_s < 1 or page.max_t < stem + 1 for page in (big.e3, single.e3)):
             raise ValueError(f"stem {stem} not certified at these bounds")
         out.append(
             FiltrationDelta(

@@ -23,6 +23,11 @@ from extlab.steenrod import AlgebraTable
 from extlab.verify import run_suites
 
 
+def _entries(page):
+    """A page's nonzero entries, {(s, t): dim}."""
+    return {(s, t): d for s, row in enumerate(page.dims) for t, d in enumerate(row) if d}
+
+
 def report(num, label, seconds, budget):
     print(f"ACCEPTANCE {num}: PASS - {label} ({seconds:.1f}s, budget {budget}s)")
     assert seconds < budget, f"runtime {seconds:.1f}s exceeds budget {budget}s"
@@ -70,7 +75,7 @@ def test_criterion_3_single_square(n):
         for t in range(beta.max_t + 1):
             assert beta.is_iso(s, t), (s, t)
     assert verify_scenario(result) == []
-    assert sorted(result.e3.entries.items()) == [((0, 0), 1), ((n - 1, 1), 1)]
+    assert _entries(result.e3) == {(0, 0): 1, (1, n): 1}  # stems 0 and n - 1
     report(3, f"mod-2 single square n={n}: composite iso, page = two classes",
            time.time() - start, 120)
 
@@ -81,9 +86,9 @@ def test_criterion_4_single_square_integral(n):
     result = build_scenario(ScenarioSpec("fnz", 8, n + 14, n=n))
     assert result.ok, result.hypothesis.violations()[:4]
     assert verify_scenario(result) == []
-    expected = {(0, s): 1 for s in range(result.e3.max_filt + 1)}
-    expected[(n - 1, 1)] = 1
-    assert dict(result.e3.entries) == expected
+    expected = {(s, s): 1 for s in range(result.e3.max_s + 1)}
+    expected[(1, n)] = 1  # stem n - 1
+    assert _entries(result.e3) == expected
     report(4, f"integral single square n={n}: tower plus one class", time.time() - start, 120)
 
 
@@ -93,17 +98,16 @@ def test_criterion_5_big_fiber(big_f):
     assert result.ok, result.hypothesis.violations()[:4]
     assert verify_scenario(result) == []
     e3 = result.e3
-    for s in range(e3.max_filt + 1):
-        assert e3.dim(0, s) == 1, s  # the tower
+    for s in range(e3.max_s + 1):
+        assert e3.dim(s, s) == 1, s  # the tower
     for stem in range(1, 24):
-        filts = [f for f in range(e3.max_filt + 1)
-                 if e3.certified(stem, f) and e3.dim(stem, f)]
+        filts = [s for s in range(e3.max_s + 1) if e3.dim(s, stem + s)]
         if stem % 2 == 0:
             assert filts == [], stem
         elif stem in (1, 3, 7, 15):
-            assert filts == [1] and e3.dim(stem, 1) == 1, stem
+            assert filts == [1] and e3.dim(1, stem + 1) == 1, stem
         else:
-            assert filts == [0] and e3.dim(stem, 0) == 1, stem
+            assert filts == [0] and e3.dim(0, stem) == 1, stem
     report(5, "big fiber (10,26): one class per odd stem at the right filtration",
            time.time() - start, 600)
 

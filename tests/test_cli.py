@@ -96,6 +96,14 @@ def test_resolve_bad_bounds_exits_2():
     assert info.value.code == 2
 
 
+def test_scenario_bounds_too_small_exit_2(capsys):
+    # a page needs s <= max_s - 2 and t <= max_t - 1 to hold anything
+    with pytest.raises(SystemExit) as info:
+        main(["scenario", "--kind", "f", "--max-s", "1", "--max-t", "10", "--no-cache"])
+    assert info.value.code == 2
+    assert "bounds too small to be meaningful" in capsys.readouterr().err
+
+
 class _Built(Exception):
     """Raised by the guard below where a table or a resolution would be built."""
 

@@ -12,8 +12,8 @@ from extlab.render import (
     scenario_json,
     svg_chart,
 )
-from extlab.resolve import minimal_resolution
-from extlab.scenarios import E3Chart, ScenarioSpec, build_scenario, verify_scenario
+from extlab.resolve import ExtChart, minimal_resolution
+from extlab.scenarios import ScenarioSpec, build_scenario, verify_scenario
 from extlab.steenrod import AlgebraTable
 
 
@@ -23,14 +23,15 @@ def f2_chart():
     return minimal_resolution(trivial_module(alg, 12), 5, 12).chart()
 
 
+# a page's entries at (s, t); drawn at (stem, filtration) = (t - s, s)
+PAGE_ENTRIES = {(0, 0): 1, (1, 1): 1, (1, 4): 1, (0, 5): 2}
+PAGE_CELLS = {(t - s, s): dim for (s, t), dim in PAGE_ENTRIES.items()}
+
+
 @pytest.fixture(scope="module")
 def e3():
-    return E3Chart(
-        max_filt=3,
-        max_total=8,
-        entries={(0, 0): 1, (0, 1): 1, (3, 1): 1, (5, 0): 2},
-        annotations={(3, 1): ("h2",)},
-    )
+    dims = tuple(tuple(PAGE_ENTRIES.get((s, t), 0) for t in range(9)) for s in range(4))
+    return ExtChart(3, 8, dims, {(1, 4): ("h2",)})
 
 
 def _ascii_cells(text):
@@ -64,8 +65,8 @@ def test_ascii_and_svg_same_lattice(e3):
     ascii_cells = {(stem, filt) for stem, filt, _ in _ascii_cells(ascii_chart(e3))}
     svg = svg_chart(e3, "test")
     svg_cells = len(re.findall(r"<circle ", svg))
-    assert svg_cells == len(e3.entries)
-    assert ascii_cells == set(e3.entries)
+    assert svg_cells == len(PAGE_CELLS)
+    assert ascii_cells == set(PAGE_CELLS)
 
 
 def test_svg_is_wellformed_xml(e3):
@@ -88,7 +89,7 @@ def test_ext_chart_json_schema(f2_chart):
 def test_e3_chart_json(e3):
     doc = e3_chart_json(e3)
     entries = {(e["stem"], e["filtration"]): e["dim"] for e in doc["entries"]}
-    assert entries == e3.entries
+    assert entries == PAGE_CELLS
     labeled = [e for e in doc["entries"] if e["labels"]]
     assert labeled and labeled[0]["labels"] == ["h2"]
 
@@ -99,8 +100,3 @@ def test_scenario_json_round_trip():
     assert doc["schema"] == "extlab.scenario/1"
     assert doc["hypothesis_ok"] and doc["diff"] == []
     json.loads(dump_json(doc))
-
-
-def test_render_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        ascii_chart({"not": "a chart"})

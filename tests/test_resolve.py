@@ -208,6 +208,21 @@ def test_load_version_mismatch(tmp_path, alg, res_f2):
         load_resolution(path, trivial_module(alg, 14), 6, 14)
 
 
+def test_load_refuses_a_generator_beyond_max_t(tmp_path, alg):
+    # neither verify nor the canonical re-serialization reads past max_t, so
+    # only the window check on each gen line stops this file
+    module = trivial_module(alg, 10)
+    path = str(tmp_path / "f2.extres")
+    save_resolution(minimal_resolution(module, 4, 10), path)
+    with open(path) as fh:
+        text = fh.read()
+    assert text.endswith("\nend\n") and "gen 4 1 " not in text
+    with open(path, "w") as fh:
+        fh.write(text[: -len("end\n")] + "gen 4 1 11\nend\n")
+    with pytest.raises(CacheError, match=r"generator 1 at \(s=4, t=11\) outside the window"):
+        load_resolution(path, module, 4, 10)
+
+
 def test_load_a_directory(tmp_path, alg):
     with pytest.raises(CacheError, match="cannot read"):
         load_resolution(str(tmp_path), trivial_module(alg, 14), 6, 14)

@@ -7,7 +7,6 @@ from extlab.cli import main
 from extlab.gradedmod import GradedModule, factor_map
 from extlab.resolve import ExtChart, minimal_resolution, serialize_resolution
 from extlab.scenarios import (
-    E3Chart,
     ScenarioSpec,
     assemble_e3,
     build_scenario,
@@ -28,6 +27,11 @@ def fn2():
 @pytest.fixture(scope="module")
 def fbig():
     return build_scenario(ScenarioSpec("f", 8, 18))
+
+
+def _entries(page):
+    """A page's nonzero entries, {(s, t): dim}."""
+    return {(s, t): d for s, row in enumerate(page.dims) for t, d in enumerate(row) if d}
 
 
 class Hashed(Exception):
@@ -61,7 +65,7 @@ def test_spec_validation():
 def test_fn_collapse(fn2):
     assert fn2.ok
     assert verify_scenario(fn2) == []
-    assert sorted(fn2.e3.entries) == [(0, 0), (1, 1)]
+    assert _entries(fn2.e3) == {(0, 0): 1, (1, 2): 1}  # stems 0 and 1
     # beta is a per-bidegree isomorphism everywhere in window
     beta = fn2.beta
     for s in range(beta.max_s + 1):
@@ -80,8 +84,8 @@ def test_fnz_collapse():
     result = build_scenario(ScenarioSpec("fnz", 8, 16, n=4))
     assert result.ok
     assert verify_scenario(result) == []
-    tower = {(0, s) for s in range(result.e3.max_filt + 1)}
-    assert set(result.e3.entries) == tower | {(3, 1)}
+    tower = {(s, s) for s in range(result.e3.max_s + 1)}
+    assert set(_entries(result.e3)) == tower | {(1, 4)}  # sigma(1, 4) in stem 3
     # beta injective everywhere
     for s in range(result.beta.max_s + 1):
         for t in range(result.beta.max_t + 1):
@@ -132,8 +136,8 @@ def test_big_fiber_les_exactness(fbig):
 
 def test_big_fiber_stems(fbig):
     e3 = fbig.e3
-    for stem in range(1, e3.max_total + 1):
-        filts = [f for f in range(e3.max_filt + 1) if e3.certified(stem, f) and e3.dim(stem, f)]
+    for stem in range(1, e3.max_t + 1):
+        filts = [s for s in range(e3.max_s + 1) if e3.dim(s, stem + s)]
         if stem % 2 == 0:
             assert filts == [], stem
         else:
@@ -152,11 +156,11 @@ def test_conjugate_matches_big():
 
 def test_expected_e3_examples():
     chart = expected_e3(ScenarioSpec("f", 10, 26))
-    assert chart.dim(7, 1) == 1 and chart.dim(7, 0) == 0  # 7 = 2^3 - 1
-    assert chart.dim(9, 0) == 1 and chart.dim(9, 1) == 0  # 9 = 2*5 - 1
-    assert all(chart.dim(2, f) == 0 for f in range(chart.max_filt + 1))
+    assert chart.dim(1, 8) == 1 and chart.dim(0, 7) == 0  # stem 7 = 2^3 - 1
+    assert chart.dim(0, 9) == 1 and chart.dim(1, 10) == 0  # stem 9 = 2*5 - 1
+    assert all(chart.dim(s, 2 + s) == 0 for s in range(chart.max_s + 1))  # stem 2
     chart = expected_e3(ScenarioSpec("fn", 8, 16, n=3))
-    assert sorted(chart.entries) == [(0, 0), (2, 1)]
+    assert sorted(_entries(chart)) == [(0, 0), (1, 3)]  # stems 0 and 2
 
 
 def test_lemma_check_requires_big(fn2):
@@ -214,15 +218,13 @@ def test_the_gate_refuses_an_extra_class_below_filtration_2(fn2):
 
 
 def test_negative_control_corrupted_chart(fbig):
-    # entrywise diff must light up if the assembled page is wrong
-    tampered = E3Chart(
-        fbig.e3.max_filt,
-        fbig.e3.max_total,
-        dict(fbig.e3.entries),
-        dict(fbig.e3.annotations),
-    )
-    tampered.entries[(2, 0)] = 1
-    assert tampered.diff(expected_e3(fbig.spec)) != []
+    # entrywise diff must light up if the assembled page is wrong: one class
+    # too many at (s, t) = (0, 2), stem 2 in filtration 0
+    assert fbig.e3.dim(0, 2) == 0
+    dims = [list(row) for row in fbig.e3.dims]
+    dims[0][2] = 1
+    tampered = replace(fbig.e3, dims=tuple(tuple(row) for row in dims))
+    assert verify_scenario(replace(fbig, e3=tampered)) == [(2, 0, 1, 0)]
 
 
 def test_filtration_comparison(fbig):
@@ -247,19 +249,51 @@ def test_filtration_comparison_missing_counterpart(fbig):
         compare_projection_filtration(fbig, [single], require=[1, 3])
 
 
+def test_filtration_comparison_refusals(fbig):
+    single = build_scenario(ScenarioSpec("fnz", 6, 12, n=2))
+    with pytest.raises(ValueError, match="must be a big-fiber scenario"):
+        compare_projection_filtration(single, [single], require=[])
+    with pytest.raises(ValueError, match="big-fiber scenario has no assembled page"):
+        compare_projection_filtration(replace(fbig, e3=None), [single], require=[])
+    with pytest.raises(ValueError, match=re.escape("fnz(n=2) has no assembled page")):
+        compare_projection_filtration(fbig, [replace(single, e3=None)], require=[])
+    odd = build_scenario(ScenarioSpec("fnz", 6, 13, n=3))
+    with pytest.raises(ValueError, match="comparison needs even n"):
+        compare_projection_filtration(fbig, [odd], require=[])
+    # fbig's page ends at t = 17, so stem 17 has no certified filtration 1
+    far = build_scenario(ScenarioSpec("fnz", 6, 22, n=18))
+    assert far.ok and fbig.e3.max_t == 17
+    with pytest.raises(ValueError, match="stem 17 not certified at these bounds"):
+        compare_projection_filtration(fbig, [far], require=[])
+    # the class of stem 1 removed from the single's page
+    dims = [list(row) for row in single.e3.dims]
+    assert dims[1][2] == 1
+    dims[1][2] = 0
+    emptied = replace(single, e3=replace(single.e3, dims=tuple(tuple(row) for row in dims)))
+    with pytest.raises(ValueError, match=re.escape("stem 1 does not carry a unique class: filtrations []")):
+        compare_projection_filtration(fbig, [emptied], require=[])
+
+
 def test_annotations(fbig):
-    assert fbig.e3.annotations[(0, 0)] == ("h0-tower",)
-    assert fbig.e3.annotations[(3, 1)] == ("h2",)
-    assert fbig.e3.annotations[(5, 0)] == ("filtration-0 class",)
+    assert fbig.e3.labels[(0, 0)] == ("h0-tower",)
+    assert fbig.e3.labels[(1, 4)] == ("h2",)  # stem 3
+    assert fbig.e3.labels[(0, 5)] == ("filtration-0 class",)  # stem 5
+    assert set(fbig.e3.labels) <= set(_entries(fbig.e3))
 
 
 def test_e3_window():
-    chart = E3Chart(max_filt=3, max_total=6)
-    assert chart.certified(3, 3)
-    assert not chart.certified(4, 3)
-    assert not chart.certified(0, 4)
-    assert (6, 0) in set(chart.cells())
-    assert (7, 0) not in set(chart.cells())
+    # the page of f (5, 7) is certified for s <= 3 and t <= 6
+    spec = ScenarioSpec("f", 5, 7)
+    page, pattern = expected_e3(spec), expected_pattern(spec)
+    assert (page.max_s, page.max_t) == (3, 6)
+    assert len(page.dims) == 4 and all(len(row) == 7 for row in page.dims)
+    assert page.dim(3, 3) == 1 and page.dim(1, 4) == 1 and page.dim(0, 5) == 1
+    # the pattern has classes beyond max_s and max_t; the page reads 0 there
+    assert pattern.coker(4, 4) == 1 and page.dim(4, 4) == 0
+    assert pattern.coker(1, 8) == 1 and page.dim(1, 8) == 0
+    assert pattern.kernel(0, 9) == 1 and page.dim(0, 9) == 0
+    # and nothing below t = s, where stems would be negative
+    assert all(page.dims[s][t] == 0 for s in range(4) for t in range(s))
 
 
 def _a_tampered_lift_fails_the_scenario(flip_solve, capsys, lift, h):
