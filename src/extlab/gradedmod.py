@@ -235,9 +235,6 @@ class FreeIndexer:
         self.gen_degrees.append(t)
         return len(self.gen_degrees) - 1
 
-    def gens_in_degree(self, t: int) -> list[int]:
-        return [g for g, d in enumerate(self.gen_degrees) if d == t]
-
     def _offsets(self, t: int) -> list[int]:
         """The offsets of degree t, from the table."""
         got = self._table.get(t)

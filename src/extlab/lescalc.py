@@ -5,12 +5,13 @@ resolutions P(sub), P(quot) of the outer terms, the horseshoe construction
 splices them into a resolution Q_s = P_s(sub) (+) P_s(quot) of the middle.
 Its off-diagonal blocks tau_s are found degreewise by canonical solves of
 
-    e_{s-1} o tau_s = tau_{s-1} o d^quot_s        (s >= 1)
+    e_{s-1} o tau_s = tau_{s-1} o d^quot_s        (s >= 0)
 
-where tau_0 = sigma lifts the augmentation of quot through the projection,
-e_0 = incl o aug_sub, and e_s = d^sub_s.  A lift holds sigma and tau on
-generators only: the right side is tau_{s-1} evaluated on d(h), and each
-solve is checked where it is made.  Both resolutions being minimal, the
+where e_{-1} is the projection and tau_{-1} o d^quot_0 the augmentation of
+quot, so tau_0 = sigma lifts that augmentation through the projection;
+e_0 = incl o aug_sub, and e_s = d^sub_s.  A lift holds tau on generators
+only: the right side is tau_{s-1} evaluated on d(h), and each solve is
+checked where it is made.  Both resolutions being minimal, the
 dualized differentials vanish, and the connecting map is simply d[phi] =
 [phi o tau]: its matrix entry is the unit coefficient of a sub-generator
 in tau of a quot-generator.
@@ -23,7 +24,6 @@ here, once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .f2core import Solver, combine, compose, rank as f2rank
 from .gradedmod import ShortExactSequence
@@ -38,18 +38,17 @@ class LiftError(RuntimeError):
 class ChainLift:
     """Horseshoe data for one short exact sequence, on generators only.
 
-    ``sigma[g]`` = tau_0(g) lifts the augmentation image of the g-th
-    generator of P_0(quot) into mid; ``tau[s][h]`` (s >= 1) is the splice
-    homotopy on the h-th generator of P_s(quot), a vector over the degree
-    basis of P_{s-1}(sub).  :meth:`apply_tau` evaluates tau_s on any vector.
+    ``tau[s][h]`` is the splice homotopy on the h-th generator of
+    P_s(quot), a vector over the degree basis of mid for s = 0, where tau_0
+    = sigma lifts the augmentation, and of P_{s-1}(sub) after.
+    :meth:`apply_tau` evaluates tau_s on any vector.
     """
 
     def __init__(self, ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution):
         self.ses = ses
         self.res_sub = res_sub
         self.res_quot = res_quot
-        self.sigma: list[int] = []
-        self.tau: list[list[int]] = [[]]  # tau_0 is sigma
+        self.tau: list[list[int]] = []
 
     def tau_codomain(self, s: int):
         """Where tau_s lands: mid for s = 0, P_{s-1}(sub) after."""
@@ -59,8 +58,14 @@ class ChainLift:
         """tau_s of a degree-t vector of P_s(quot).  Each monomial of a
         generator's block is applied one square at a time from the right,
         memoised in ``memo`` by (g, monomial), as ``map_columns`` builds the
-        column of (g, monomial): so the columns would give the same bits."""
-        images = self.tau[s] if s else self.sigma
+        column of (g, monomial): so the columns would give the same bits.
+
+        A second column routine on purpose: the lift needs tau_s on one
+        vector d(h) per generator, and most monomials of a degree occur in
+        no d(h).  Building tau_s's columns per degree with ``map_columns``
+        instead called ``FreeIndexer.apply_sq`` 36,864 times over both lifts
+        of scenario f at (14, 38), against 18,245 here, and ran slower."""
+        images = self.tau[s]
         apply_sq = self.tau_codomain(s).apply_sq
         indexer = self.res_quot.indexers[s]
         degrees, heads = indexer.gen_degrees, indexer.algebra.heads
@@ -82,30 +87,33 @@ class ChainLift:
         return out
 
     def e_columns(self, s: int, t: int) -> list[int]:
-        """Columns of e_s from (P_s sub)_t to the codomain of tau_s."""
+        """Columns of e_s from (P_s sub)_t to the codomain of tau_s; e_{-1},
+        which tau_0 lifts the augmentation of quot through, is the projection."""
+        if s < 0:
+            return self.ses.projection.columns[t]
         d = self.res_sub.diff_columns(s, t)
         return compose(self.ses.inclusion.columns[t], d) if s == 0 else d
 
     def verify(self) -> None:
-        """proj o sigma = aug_quot on every generator of P_0(quot).  Then
-        eps = [e_0 | sigma] is onto mid: its image holds im e_0 = ker proj,
-        as aug_sub is onto, and maps onto quot, as aug_quot does.  The rest
-        of the horseshoe is the recurrence the lift checks per generator."""
+        """proj o sigma = aug_quot on every generator of P_0(quot), sigma =
+        tau_0.  Then eps = [e_0 | sigma] is onto mid: its image holds im e_0
+        = ker proj, as aug_sub is onto, and maps onto quot, as aug_quot does.
+        The lift checks this, and the rest of the horseshoe, per generator."""
         proj = self.ses.projection.columns
         for g, t in enumerate(self.res_quot.indexers[0].gen_degrees):
-            if combine(proj[t], self.sigma[g]) != self.res_quot.targets[0][g]:
+            if combine(proj[t], self.tau[0][g]) != self.res_quot.targets[0][g]:
                 raise AssertionError(f"proj o sigma != aug on generator {g} at degree {t}")
 
 
 def horseshoe_lift(
     ses: ShortExactSequence, res_sub: Resolution, res_quot: Resolution
 ) -> ChainLift:
-    """Construct sigma and tau by canonical degreewise solves; check sigma
-    (:meth:`ChainLift.verify`) after its solves, and each tau_s(h) against
-    its recurrence, on tau_{s-1}(d h) from :meth:`ChainLift.apply_tau`,
-    right after its solve.  As the inclusion is injective, ker(e_0) =
-    ker(aug_sub): solving for tau_1 in one step gives what solving through
-    the inclusion, then aug_sub, gives."""
+    """Construct tau by canonical degreewise solves of its recurrence, from
+    s = 0, where e_{-1} is the projection and the right side is aug_quot(h),
+    and check each tau_s(h) right after its solve.  The right side for s >= 1
+    is tau_{s-1}(d h), from :meth:`ChainLift.apply_tau`.  As the inclusion
+    is injective, ker(e_0) = ker(aug_sub): solving for tau_1 in one step
+    gives what solving through the inclusion, then aug_sub, gives."""
     if res_sub.module is not ses.sub:
         raise ValueError("res_sub does not resolve the sequence's own sub module object")
     if res_quot.module is not ses.quot:
@@ -113,33 +121,22 @@ def horseshoe_lift(
     if (res_sub.max_s, res_sub.max_t) != (res_quot.max_s, res_quot.max_t):
         raise ValueError("resolutions must share bounds")
     lift = ChainLift(ses, res_sub, res_quot)
-
-    def preimage(solver: Solver, b: int, where: str) -> int:
-        x = solver.solve(b)
-        if x is None:
-            raise LiftError(f"{where} unsolvable")
-        return x
-
-    proj = ses.projection
-    solvers: dict[int, Solver] = {}  # by degree
-    for g, t in enumerate(res_quot.indexers[0].gen_degrees):
-        if t not in solvers:
-            solvers[t] = Solver(proj.columns[t], proj.codomain.dim(t))
-        lift.sigma.append(preimage(solvers[t], res_quot.targets[0][g], f"projection lift at t={t}"))
-    lift.verify()
-
-    for s in range(1, res_sub.max_s + 1):
-        solvers.clear()  # now one solver of e_{s-1} per degree, read only during this s
+    for s in range(res_sub.max_s + 1):
+        solvers: dict[int, Solver] = {}  # one of e_{s-1} per degree, read only during this s
         below: dict[int, list[int]] = {}  # e_{s-1}'s columns, beside its solvers
         memo: dict[tuple[int, int, int], int] = {}  # tau_{s-1} on (generator, monomial)
-        target = lift.tau_codomain(s - 1)
+        target = lift.tau_codomain(s - 1) if s else ses.quot
         lift.tau.append([])
         for h, t in enumerate(res_quot.indexers[s].gen_degrees):
             if t not in solvers:
                 below[t] = lift.e_columns(s - 1, t)
                 solvers[t] = Solver(below[t], target.dim(t))
-            v = lift.apply_tau(s - 1, t, res_quot.targets[s][h], memo)
-            x = preimage(solvers[t], v, f"chain-lift recurrence at (s={s}, t={t})")
+            v = res_quot.targets[s][h]  # aug_quot(h) at s = 0
+            if s:
+                v = lift.apply_tau(s - 1, t, v, memo)
+            x = solvers[t].solve(v)
+            if x is None:
+                raise LiftError(f"chain-lift recurrence at (s={s}, t={t}) unsolvable")
             if combine(below[t], x) != v:
                 raise AssertionError(f"tau recurrence fails on generator {h} at (s={s}, t={t})")
             lift.tau[s].append(x)
@@ -207,8 +204,7 @@ def connecting_map(lift: ChainLift) -> BoundaryMap:
     for s in range(0, rs.max_s):
         sub_idx = rs.indexers[s]
         for t in range(0, rs.max_t + 1):
-            src_gens = sub_idx.gens_in_degree(t)
-            tgt_gens = rq.indexers[s + 1].gens_in_degree(t)
+            src_gens, tgt_gens = rs.gens(s, t), rq.gens(s + 1, t)
             if not src_gens or not tgt_gens:
                 continue
             taus = [lift.tau[s + 1][h] for h in tgt_gens]
@@ -273,14 +269,13 @@ class HypothesisReport:
 def les_exactness_report(
     boundary: BoundaryMap,
     chart_sub: ExtChart,
-    chart_mid: Optional[ExtChart],
+    chart_mid: ExtChart,
     chart_quot: ExtChart,
 ) -> HypothesisReport:
     """Shape and rank-alternation consistency of the long exact sequence.
 
     Per bidegree, the boundary matrix must have the charts' shape ("boundary
-    rows", "boundary cols").  With the middle chart available and the shape
-    right, exactness forces
+    rows", "boundary cols").  Where the shape is right, exactness forces
 
         [quot_s - rank d_{s-1}] + [sub_s - rank d_s] = mid_s
 
@@ -296,7 +291,7 @@ def les_exactness_report(
             want_rows, want_cols = chart_quot.dim(s + 1, t), chart_sub.dim(s, t)
             checks.append(HypothesisCheck("boundary rows", s, t, rows, want_rows))
             checks.append(HypothesisCheck("boundary cols", s, t, cols, want_cols))
-            if chart_mid is None or (rows, cols) != (want_rows, want_cols):
+            if (rows, cols) != (want_rows, want_cols):
                 continue
             r_p = chart_quot.dim(s, t) - boundary.rank(s - 1, t)
             r_i = chart_sub.dim(s, t) - boundary.rank(s, t)

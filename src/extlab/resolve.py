@@ -107,10 +107,11 @@ class Resolution:
 
     # -- structure queries ---------------------------------------------------
 
-    def gen_count(self, s: int, t: int) -> int:
-        if not 0 <= s <= self.max_s:
-            return 0
-        return sum(1 for d in self.indexers[s].gen_degrees if d == t)
+    def gens(self, s: int, t: int) -> range:
+        """The generators of P_s in degree t: ``add_generator`` keeps the
+        degrees non-decreasing, so they are one run of indices."""
+        degrees = self.indexers[s].gen_degrees
+        return range(bisect_left(degrees, t), bisect_right(degrees, t))
 
     def ambient_dim(self, s: int, t: int) -> int:
         """Dimension of the target of d_s in degree t (module coords for s=0)."""
@@ -149,16 +150,15 @@ class Resolution:
             need = self.module.dim(t)  # the rank d_s must reach
             prev: list[int] = []  # columns of d_{s-1} at t
             for s in range(self.max_s + 1):
-                degrees = self.indexers[s].gen_degrees  # non-decreasing
-                first, last = bisect_left(degrees, t), bisect_right(degrees, t)
+                new = self.gens(s, t)
                 cols = self.diff_columns(s, t)  # the new generators' columns come last
-                old = len(cols) - (last - first)
+                old = len(cols) - len(new)
                 acc = EchelonAccumulator()
                 for c in cols[:old]:
                     acc.add(c)
                 below = self.indexers[s - 1] if s else None
-                units = [(j, below.offset(j, t)) for j in below.gens_in_degree(t)] if s else []
-                for g, c in zip(range(first, last), cols[old:]):
+                units = [(j, below.offset(j, t)) for j in self.gens(s - 1, t)] if s else []
+                for g, c in zip(new, cols[old:]):
                     for j, p in units:
                         if c >> p & 1:
                             raise AssertionError(
@@ -181,7 +181,7 @@ class Resolution:
 
     def chart(self) -> ExtChart:
         dims = tuple(
-            tuple(self.gen_count(s, t) for t in range(self.max_t + 1))
+            tuple(len(self.gens(s, t)) for t in range(self.max_t + 1))
             for s in range(self.max_s + 1)
         )
         return ExtChart(self.max_s, self.max_t, dims)
@@ -217,23 +217,14 @@ def minimal_resolution(module: GradedModule, max_s: int, max_t: int) -> Resoluti
 # -- persistence ----------------------------------------------------------------
 
 
-def _chart_lines(res: Resolution) -> list[str]:
-    lines = []
-    for s in range(res.max_s + 1):
-        for t in range(res.max_t + 1):
-            n = res.gen_count(s, t)
-            if n:
-                lines.append(f"gens {s} {t} {n}")
-    return lines
-
-
 def serialize_resolution(res: Resolution) -> str:
     out = [MAGIC]
     out.append(f"version {FORMAT_VERSION}")
     out.append(f"module {res.module.digest()}")
     out.append(f"max_s {res.max_s}")
     out.append(f"max_t {res.max_t}")
-    out.extend(_chart_lines(res))
+    out.extend(f"gens {s} {t} {n}" for s, row in enumerate(res.chart().dims)
+               for t, n in enumerate(row) if n)
     out.append("end_header")
     for s in range(res.max_s + 1):
         for g, t in enumerate(res.indexers[s].gen_degrees):

@@ -9,9 +9,9 @@ from extlab.f2core import Solver
 def flip_solve(monkeypatch):
     """``flip_solve(res_quot, s, h, bit, after=0)`` lets ``after`` solves
     through, then makes the next horseshoe lift onto ``res_quot`` solve
-    tau_s(h) (sigma(h) for s = 0) with bit ``bit`` of the answer flipped;
-    calling it again restarts the count.  Only the lift solves with a
-    ``Solver``, once per generator of P(quot): sigma's first, then tau_1's,
+    tau_s(h) (sigma(h) = tau_0(h) for s = 0) with bit ``bit`` of the answer
+    flipped; calling it again restarts the count.  Only the lift solves with
+    a ``Solver``, once per generator of P(quot): tau_0's first, then tau_1's,
     and so on, each level in generator order.  To tamper the second of two
     lifts, pass the first's solve count, its quot's generator count, as
     ``after``."""

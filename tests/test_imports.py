@@ -13,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = SRC.parent.parent / "perfbench"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -62,14 +63,32 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def _referenced_names(node: ast.AST, attributes_only: bool = False) -> set[str]:
-    """Names, attribute names and string-annotation names used under node."""
+def _library_classes() -> set[str]:
+    return {node.name for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def _receiver(node: ast.Attribute, cls, classes: set[str]) -> str:
+    """"C.x" for ``self.x`` in the body of class C and for ``C.x`` with C a
+    library class, where the syntax names the class; "x" elsewhere."""
+    if isinstance(node.value, ast.Name):
+        if node.value.id == "self" and cls:
+            return f"{cls}.{node.attr}"
+        if node.value.id in classes:
+            return f"{node.value.id}.{node.attr}"
+    return node.attr
+
+
+def _referenced_names(node: ast.AST, attributes_only: bool = False, cls=None,
+                      classes: frozenset = frozenset()) -> set[str]:
+    """Names, attribute names (by :func:`_receiver`, in the body of class
+    ``cls``) and string-annotation names used under node."""
     used = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not attributes_only:
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
+            used.add(_receiver(sub, cls, classes))
     for annotation in _annotations(node):
         for sub in ast.walk(annotation):
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -78,18 +97,20 @@ def _referenced_names(node: ast.AST, attributes_only: bool = False) -> set[str]:
 
 
 def _units(tree: ast.Module):
-    """(name, owners, nodes) per top-level statement, with each non-dunder
-    method split off from its class: ``name`` is "f", "C", "C.m" or the
-    non-dunder name a module-level assignment binds ("" for statements that
-    define nothing), ``owners`` the names whose definitions hold the nodes."""
+    """(name, owners, cls, nodes) per top-level statement, with each
+    non-dunder method split off from its class: ``name`` is "f", "C", "C.m"
+    or the non-dunder name a module-level assignment binds ("" for
+    statements that define nothing), ``owners`` the names whose definitions
+    hold the nodes, and ``cls`` the class whose body holds them, if any."""
     for stmt in tree.body:
-        rest = [stmt]
+        rest, cls = [stmt], None
         if isinstance(stmt, ast.ClassDef):
-            rest = stmt.bases + stmt.keywords + stmt.decorator_list
+            rest, cls = stmt.bases + stmt.keywords + stmt.decorator_list, stmt.name
             for member in stmt.body:
                 name = getattr(member, "name", "")
                 if isinstance(member, ast.FunctionDef) and not (name[:2] == name[-2:] == "__"):
-                    yield f"{stmt.name}.{name}", {stmt.name, name}, [member]
+                    qualified = f"{cls}.{name}"
+                    yield qualified, {cls, name, qualified}, cls, [member]
                 else:
                     rest.append(member)
         name = getattr(stmt, "name", "")
@@ -98,25 +119,29 @@ def _units(tree: ast.Module):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
             if len(names) == 1 and not (names[0][:2] == names[0][-2:] == "__"):
                 name = names[0]
-        yield name, {name}, rest
+        yield name, {name}, cls, rest
 
 
 def _unused(methods: bool) -> dict[str, str]:
     """Top-level functions, classes and assigned names, or methods, that
-    nothing in the library references outside their own definition.  A
-    method counts as referenced where an attribute of its name is, whatever
-    the object."""
+    nothing in the library references outside their own definition; the
+    benchmark's uses of methods count too.  ``self.m`` in the body of class
+    C, and ``C.m``, reference C's method m only; an attribute m of any other
+    object references every method m."""
+    classes = _library_classes()
     defined: dict[str, str] = {}
     uses: list[tuple[set[str], set[str]]] = []  # (owners, names the unit uses)
-    for path in sorted(SRC.glob("*.py")):
-        for name, owners, nodes in _units(ast.parse(path.read_text(), filename=str(path))):
-            if name and ("." in name) == methods:
+    paths = sorted(SRC.glob("*.py")) + (sorted(BENCH.glob("*.py")) if methods else [])
+    for path in paths:
+        for name, owners, cls, nodes in _units(ast.parse(path.read_text(), filename=str(path))):
+            if name and ("." in name) == methods and path.parent == SRC:
                 defined[name] = path.name
-            uses.append((owners, set().union(*(_referenced_names(n, methods) for n in nodes))))
+            uses.append((owners, set().union(
+                *(_referenced_names(n, methods, cls, classes) for n in nodes))))
     return {
         name: module for name, module in defined.items()
-        for short in [name.rpartition(".")[2]]
-        if not any(short in used for owners, used in uses if short not in owners)
+        if not any(n in used and n not in owners
+                   for n in {name, name.rpartition(".")[2]} for owners, used in uses)
     }
 
 
@@ -127,24 +152,28 @@ def test_every_top_level_helper_is_used():
 
 def test_every_method_is_used():
     dead = _unused(methods=True)
-    assert not dead, f"methods nothing in the library calls: {dead}"
+    assert not dead, f"methods nothing in the library or the benchmark calls: {dead}"
 
 
 def _dead_attributes() -> list[str]:
     """``Class.name`` for each ``self.name`` a library class stores that no
-    library code reads as ``.name``, on any object."""
+    library or benchmark code reads: as ``self.name`` in that class's body
+    or ``Class.name``, or as ``.name`` of any other object."""
+    classes = _library_classes()
     stored, read = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ClassDef):
-                for sub in ast.walk(node):
-                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
-                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
-                        stored.add((sub.attr, f"{path.stem}.{node.name}.{sub.attr}"))
-    return sorted(where for name, where in stored if name not in read)
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            cls = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if isinstance(node.ctx, ast.Load):
+                    read.add(_receiver(node, cls, classes))
+                elif (cls and path.parent == SRC and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored.add((node.attr, cls, f"{path.stem}.{cls}.{node.attr}"))
+    return sorted(where for name, cls, where in stored
+                  if name not in read and f"{cls}.{name}" not in read)
 
 
 def test_every_stored_attribute_is_read():
@@ -254,7 +283,7 @@ def _one_value_parameters() -> list[str]:
     the benchmark reach with one value only.  A call that spreads ``*args``
     or ``**kw`` counts as passing every parameter."""
     calls: dict[str, list[ast.Call]] = {}
-    for path in sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
         for name, call in _calls(path):
             calls.setdefault(name, []).append(call)
     found = []

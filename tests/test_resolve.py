@@ -377,7 +377,7 @@ def test_a_kernel_is_reduced_only_where_a_generator_appears(monkeypatch, build, 
     monkeypatch.setattr(extlab.resolve, "reduced", counted)
     res = minimal_resolution(build(AlgebraTable(max_t)), max_s, max_t)
     gained = [
-        (s, t) for t in range(max_t + 1) for s in range(1, max_s + 1) if res.gen_count(s, t)
+        (s, t) for t in range(max_t + 1) for s in range(1, max_s + 1) if res.gens(s, t)
     ]
     assert len(calls) == len(gained) > 0
 
