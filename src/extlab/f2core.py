@@ -9,8 +9,10 @@ Conventions, fixed repo-wide:
   of basis vector ``j``: module actions and maps, differentials, chain
   lifts and boundary maps alike.  :func:`combine` applies one to a vector
   in O(popcount v) XORs, :func:`compose` multiplies two, and :func:`rank`
-  takes the columns as they are.  Module digests hash the rows
-  :func:`transpose` gives.
+  takes the columns as they are.  Module digests hash rows, which
+  :func:`transpose` reads off the algebra's tables and the column lists a
+  module was built from, and :func:`product_rows` carries through a
+  submodule or quotient.
 * The one elimination is :class:`EchelonAccumulator`, keyed by highest
   bit; on the graph vectors ``(c_j << n) | 1 << j`` of a column list it
   gives the image and a kernel basis (:func:`image_and_kernel`) and the
@@ -60,6 +62,38 @@ def transpose(columns: Sequence[int], rows: int) -> list[int]:
             col ^= low
     return data
 
+
+def product_rows(
+    down: Sequence[int], blocks: Iterable[tuple[int, int, Iterable[tuple[int, int]]]],
+    up_rows: Sequence[int], rows: int,
+) -> list[int]:
+    """Rows of down o m o up, which has ``rows`` rows, from the rows of up
+    and the nonzero rows of m in blocks (base, shift, pairs): a pair (q, r)
+    is row base + q of m, with bit shift + j where r has bit j.  Row i is
+    the XOR of the rows of m o up at the q with bit i in ``down[q]``."""
+    out = [0] * rows
+    for base, shift, pairs in blocks:
+        for q, row in pairs:
+            bits = down[base + q]
+            if not bits:
+                continue
+            if row & (row - 1):
+                acc = 0
+                while row:
+                    low = row & -row
+                    acc ^= up_rows[shift + low.bit_length() - 1]
+                    row ^= low
+                row = acc
+            else:  # one bit, as most rows of the Steenrod algebra's tables
+                row = up_rows[shift + row.bit_length() - 1]
+            if bits & (bits - 1):
+                while bits:
+                    low = bits & -bits
+                    out[low.bit_length() - 1] ^= row
+                    bits ^= low
+            else:  # one bit, as every nonzero column of an inclusion's down
+                out[bits.bit_length() - 1] ^= row
+    return out
 
 class Subspace:
     """An immutable subspace of F2^n, stored as its reduced row-echelon basis.

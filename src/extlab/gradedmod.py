@@ -5,13 +5,15 @@ basis vectors carry no names.  A map is one linear map per degree.  Both are
 held in the library's one matrix form, the column list of
 :mod:`extlab.f2core` (entry j is the image of basis vector j), applied with
 :func:`~extlab.f2core.combine` and composed with
-:func:`~extlab.f2core.compose`; :meth:`GradedModule.digest` hashes their
-rows, from :func:`~extlab.f2core.transpose`.  Free modules, and every P_s
-of a resolution, keep their basis order in a :class:`FreeIndexer`:
-(generator, admissible monomial) in generator-major order.  Its initial
-generators may come in any degree order; ``add_generator``, with which a
-resolution grows, appends in non-decreasing degree.  Its ``map_columns`` is
-the one routine that builds the columns of a map out of a free module.
+:func:`~extlab.f2core.compose`.  :meth:`GradedModule.digest` hashes the
+rows of each Sq^k, read off the algebra's tables and the column lists a
+module was built from, without building the module's own tables.  Free
+modules, and every P_s of a resolution, keep their basis order in a
+:class:`FreeIndexer`: (generator, admissible monomial) in generator-major
+order.  Its initial generators may come in any degree order;
+``add_generator``, with which a resolution grows, appends in non-decreasing
+degree.  Its ``map_columns`` is the one routine that builds the columns of
+a map out of a free module.
 
 Everything is only meaningful up to the construction bound ``max_t``:
 consumers must propagate that margin.  Given one
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 try:
     from _sha2 import sha256
@@ -49,6 +51,7 @@ from .f2core import (
     combine,
     compose,
     image_and_kernel,
+    product_rows,
     quotient_section,
     rank as f2rank,
     reduced,
@@ -62,6 +65,16 @@ class ExactnessError(RuntimeError):
 
     Indicates an upstream bug, never bad user input.
     """
+
+
+class _Decimals(dict):
+    """The decimal text of each int looked up, computed on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> str:
+        self[n] = text = str(n)
+        return text
 
 
 class GradedModule:
@@ -110,7 +123,12 @@ class GradedModule:
 
     def action(self, k: int, t: int) -> list[int]:
         """Columns of Sq^k, k >= 1, from degree t: zeros when the action is
-        absent or leaves the window.  Only a stored table is kept."""
+        absent or leaves the window.  Only a stored table is kept.
+
+        :meth:`ModuleMap.check_linearity` composes these columns.  A row form
+        of that check, on :meth:`_sq_rows`, was slower: 0.021 s against
+        0.014 s on the scenario map at (14, 38), median of seven.
+        """
         if t + k <= self.max_t and self.free_basis is not None:
             return self.free_basis.action_columns(k, t)
         if t + k <= self.max_t and self._through is not None:
@@ -131,25 +149,88 @@ class GradedModule:
         cols = self._actions.get((k, t))
         return 0 if cols is None else combine(cols, vec)
 
-    def digest(self) -> str:
-        """SHA-256 of (max_t, dims) and the nonzero actions in (k, t) order.
+    def _sq_blocks(self) -> Callable[[int, int], list[tuple[int, int, list[tuple[int, int]]]]]:
+        """A function giving Sq^k from degree t, for t + k <= max_t, as
+        blocks (row offset, column offset, nonzero rows): the pairs (i, r)
+        of a row i of the block and its bits r, before both offsets.
 
-        The builtin SHA-256 (see the module docstring) is about five times
-        slower per byte than OpenSSL's.  Scenario f (14, 38) hashes 0.76 MB
-        over its three modules, a few milliseconds more, about what loading
-        libcrypto cost; the difference grows with the window, as K's
-        tables do.
+        A free module has one block per generator present in degree t,
+        from :meth:`FreeIndexer.row_blocks`; every other module one block,
+        its nonzero :meth:`_sq_rows`.  The transposes last as long as the
+        function.
+        """
+        if self.free_basis is None:
+            sq_rows = self._sq_rows()
+            return lambda k, t: [(0, 0, [(i, r) for i, r in enumerate(sq_rows(k, t)) if r])]
+        basis, by_k = self.free_basis, {}
+
+        def blocks(k: int, t: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+            if k not in by_k:  # callers go k by k: keep one k's transposes
+                by_k.clear()
+                by_k[k] = {}
+            return basis.row_blocks(k, t, by_k[k])
+
+        return blocks
+
+    def _sq_rows(self) -> Callable[[int, int], list[int]]:
+        """A function giving the rows of Sq^k from degree t, for t + k <= max_t.
+
+        Row i has bit j where Sq^k of basis vector j has bit i.  A free
+        module places its :meth:`_sq_blocks` at their offsets.  A module
+        built ``through`` = (mid, up, down) takes row i as the XOR of mid's
+        nonzero rows q with bit i in ``down[t + k][q]``, each read through
+        the rows of ``up[t]``, and reads nothing of mid where degree t or
+        t + k is zero.  A stored table transposes its columns.  The
+        transposes last as long as the function.
+        """
+        if self.free_basis is not None:
+            blocks = self._sq_blocks()
+
+            def rows(k: int, t: int) -> list[int]:
+                out = [0] * self.dims[t + k]
+                for base, shift, pairs in blocks(k, t):
+                    for i, r in pairs:
+                        out[base + i] = r << shift
+                return out
+
+            return rows
+        if self._through is not None:
+            mid, up, down = self._through
+            mid_blocks, up_rows = mid._sq_blocks(), {}
+
+            def rows(k: int, t: int) -> list[int]:
+                if not self.dims[t + k] or not self.dims[t]:
+                    return [0] * self.dims[t + k]
+                inner = up_rows.get(t)
+                if inner is None:
+                    inner = up_rows[t] = transpose(up[t], mid.dim(t))
+                return product_rows(down[t + k], mid_blocks(k, t), inner, self.dims[t + k])
+
+            return rows
+        return lambda k, t: transpose(self._actions.get((k, t), ()), self.dims[t + k])
+
+    def digest(self) -> str:
+        """SHA-256 of (max_t, dims) and the shape and rows of each nonzero
+        Sq^k, in (k, t) order: the bytes of ``repr(((k, t), (rows, cols),
+        tuple(rows)))``, written from the decimals of the rows, each taken
+        once, since rows repeat: K of scenario f (14, 38) has 25,772
+        nonzero rows and 2,990 distinct ones.
+
+        The rows are those the transpose of ``action(k, t)`` gives, read by
+        :meth:`_sq_rows` instead: no table of the module's own Sq^k is built,
+        and the transposes it reads from last one call.
         """
         if self._digest is None:
+            sq_rows, decimal = self._sq_rows(), _Decimals()
             h = sha256()
             h.update(b"EXTMOD1")
             h.update(repr((self.max_t, self.dims)).encode())
             for k in range(1, self.max_t + 1):
                 for t in range(self.max_t - k + 1):
-                    cols = self.action(k, t)
-                    if any(cols):
-                        rows = self.dims[t + k]
-                        h.update(repr(((k, t), (rows, len(cols)), tuple(transpose(cols, rows)))).encode())
+                    rows = sq_rows(k, t)
+                    if any(rows):
+                        text = ", ".join(map(decimal.__getitem__, rows)) + "," * (len(rows) == 1)
+                        h.update(f"(({k}, {t}), ({len(rows)}, {self.dims[t]}), ({text}))".encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -295,6 +376,23 @@ class FreeIndexer:
         return [
             c << out_offsets[g] for g, d, _ in self.blocks(t) for c in sq_columns(k, t - d)
         ]
+
+    def row_blocks(
+        self, k: int, t: int, nonzero: dict[int, list[tuple[int, int]]]
+    ) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """Sq^k from degree t as one block per generator g present there:
+        (g's offset in degree t + k, g's offset in degree t, the nonzero rows
+        (i, r) of the algebra's ``sq_columns(k, t - deg g)``), which the
+        caller keeps in ``nonzero[t - deg g]``."""
+        alg, out_offsets = self.algebra, self._offsets(t + k)
+        found = []
+        for g, d, offset in self.blocks(t):
+            rows = nonzero.get(t - d)
+            if rows is None:
+                full = transpose(alg.sq_columns(k, t - d), alg.dim(t + k - d))
+                rows = nonzero[t - d] = [(i, r) for i, r in enumerate(full) if r]
+            found.append((out_offsets[g], offset, rows))
+        return found
 
     def apply_sq(self, k: int, t: int, vec: int) -> int:
         """Sq^k on a degree-t vector, block by block down from its highest bit

@@ -4,11 +4,13 @@ The library holds every matrix as a column list and eliminates with
 ``extlab.f2core.EchelonAccumulator``.  The tests check it against the
 textbook forms kept here: a matrix as one int per row, and full
 Gauss-Jordan with the canonical reduced form, kernel, column space and
-solution it gives.
+solution it gives.  ``reference_digest`` is the module digest as the
+library first took it, from column tables that it builds and transposes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from extlab.f2core import F2Error, Subspace, combine, transpose
@@ -97,3 +99,19 @@ def solve(m: BitMatrix, b: int) -> Optional[int]:
     if any(r >> m.cols for r in data[len(pivots):]):
         return None
     return sum(1 << p for r, p in zip(data, pivots) if r >> m.cols & 1)
+
+
+def reference_digest(mod) -> str:
+    """``GradedModule.digest`` from its definition: SHA-256 of ``EXTMOD1``,
+    (max_t, dims), then each nonzero Sq^k in (k, t) order as its shape and
+    rows, the rows taken by transposing the table ``mod.action(k, t)``."""
+    h = hashlib.sha256()
+    h.update(b"EXTMOD1")
+    h.update(repr((mod.max_t, mod.dims)).encode())
+    for k in range(1, mod.max_t + 1):
+        for t in range(mod.max_t - k + 1):
+            cols = mod.action(k, t)
+            if any(cols):
+                rows = mod.dims[t + k]
+                h.update(repr(((k, t), (rows, len(cols)), tuple(transpose(cols, rows)))).encode())
+    return h.hexdigest()

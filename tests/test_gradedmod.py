@@ -439,7 +439,8 @@ F_38_FACTORS = (
 def test_factored_modules_store_no_action():
     """K, I and C of scenario f at T = 38 hold their dimensions and the column
     lists into their middle module and back; with the action tables,
-    factor_map retained about 1.6 MiB beyond f."""
+    factor_map retained about 1.6 MiB beyond f.  K's digest keeps none of
+    the transposes it reads its rows from, and gives the algebra no table."""
     f = scenario_map(ScenarioSpec("f", 14, 38), AlgebraTable(38))
     first = factor_map(f)  # also fills the algebra's tables
     assert (first.K.digest(), first.I.digest(), first.C.digest()) == F_38_FACTORS
@@ -452,6 +453,16 @@ def test_factored_modules_store_no_action():
     finally:
         tracemalloc.stop()
     assert retained < 1024 * 1024, retained
+    attributes = set(vars(f.domain.algebra))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert fac.K.digest() == F_38_FACTORS[0]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained  # the rows it transposed are gone
+    assert set(vars(f.domain.algebra)) == attributes
     assert (fac.K.digest(), fac.I.digest(), fac.C.digest()) == F_38_FACTORS
 
 

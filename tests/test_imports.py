@@ -239,9 +239,10 @@ def test_the_cli_does_not_load_tempfile():
 def _defaulted_parameters(path: Path):
     """(key, label, offset, name, index) per defaulted parameter of each
     function or method in a library file.  ``key`` is the name a call
-    reaches it by (the class name for ``__init__``), ``offset`` the
-    positional arguments no call writes (1 for ``self``), and ``index`` the
-    parameter's position, None for a keyword-only one."""
+    reaches it by: "f" for a function, "C" for ``C.__init__`` and "C.m" for
+    another method; ``offset`` the positional arguments no call writes (1
+    for ``self``), and ``index`` the parameter's position, None for a
+    keyword-only one."""
     tree = ast.parse(path.read_text(), filename=str(path))
     owner = {id(member): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for member in cls.body}
@@ -249,7 +250,7 @@ def _defaulted_parameters(path: Path):
         if not isinstance(node, ast.FunctionDef):
             continue
         cls = owner.get(id(node))
-        key = cls.name if cls and node.name == "__init__" else node.name
+        key = node.name if not cls else cls.name if node.name == "__init__" else f"{cls.name}.{node.name}"
         label = f"{path.stem}.{cls.name + '.' if cls else ''}{node.name}"
         static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         offset = 1 if cls and not static else 0
@@ -263,34 +264,41 @@ def _defaulted_parameters(path: Path):
                 yield key, label, offset, arg.arg, None
 
 
-def _calls(path: Path):
-    """(name, call) for each call in a file, naming the callee by its
-    attribute name or by the name it was imported under."""
+def _calls(path: Path, classes: set[str]):
+    """(name, call) for each call in a file.  A called name is named as it
+    was imported; an attribute by :func:`_receiver`, as "C.m" where the
+    syntax names the class C and as ".m" where it does not."""
     tree = ast.parse(path.read_text(), filename=str(path))
     aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for a in node.names if a.asname}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                yield aliases.get(node.func.id, node.func.id), node
-            elif isinstance(node.func, ast.Attribute):
-                yield node.func.attr, node
+    for stmt in tree.body:
+        cls = stmt.name if isinstance(stmt, ast.ClassDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    yield aliases.get(node.func.id, node.func.id), node
+                elif isinstance(node.func, ast.Attribute):
+                    name = _receiver(node.func, cls, classes)
+                    yield name if "." in name else f".{name}", node
 
 
 def _one_value_parameters() -> list[str]:
     """``function(parameter): never passed`` or ``never left out`` for each
     defaulted parameter of the library that the calls in the library and
-    the benchmark reach with one value only.  A call that spreads ``*args``
-    or ``**kw`` counts as passing every parameter."""
+    the benchmark reach with one value only.  A parameter keyed "C.m" is
+    reached by calls named "C.m" and ".m", and one keyed "f" by "f" and
+    ".f".  A call that spreads ``*args`` or ``**kw`` counts as passing
+    every parameter."""
+    classes = _library_classes()
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
-        for name, call in _calls(path):
+        for name, call in _calls(path, classes):
             calls.setdefault(name, []).append(call)
     found = []
     for path in sorted(SRC.glob("*.py")):
         for key, label, offset, name, index in _defaulted_parameters(path):
             passed = left_out = False
-            for call in calls.get(key, []):
+            for call in calls.get(key, []) + calls.get("." + key.rpartition(".")[2], []):
                 given = (any(isinstance(a, ast.Starred) for a in call.args)
                          or any(k.arg in (None, name) for k in call.keywords)
                          or index is not None and offset + len(call.args) > index)
