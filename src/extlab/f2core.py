@@ -69,8 +69,8 @@ def product_rows(
 ) -> list[int]:
     """Rows of down o m o up, which has ``rows`` rows, from the rows of up
     and the nonzero rows of m in blocks (base, shift, pairs): a pair (q, r)
-    is row base + q of m, with bit shift + j where r has bit j.  Row i is
-    the XOR of the rows of m o up at the q with bit i in ``down[q]``."""
+    is row base + q of m, ``r << shift``.  Row q of m o up goes to each row
+    i with bit i in ``down[base + q]``."""
     out = [0] * rows
     for base, shift, pairs in blocks:
         for q, row in pairs:
@@ -78,22 +78,15 @@ def product_rows(
             if not bits:
                 continue
             if row & (row - 1):
-                acc = 0
-                while row:
-                    low = row & -row
-                    acc ^= up_rows[shift + low.bit_length() - 1]
-                    row ^= low
-                row = acc
-            else:  # one bit, as most rows of the Steenrod algebra's tables
+                row = combine(up_rows, row << shift)
+            else:  # one bit, as most rows of the algebra's tables
                 row = up_rows[shift + row.bit_length() - 1]
-            if bits & (bits - 1):
-                while bits:
-                    low = bits & -bits
-                    out[low.bit_length() - 1] ^= row
-                    bits ^= low
-            else:  # one bit, as every nonzero column of an inclusion's down
-                out[bits.bit_length() - 1] ^= row
+            while bits:
+                low = bits & -bits
+                out[low.bit_length() - 1] ^= row
+                bits ^= low
     return out
+
 
 class Subspace:
     """An immutable subspace of F2^n, stored as its reduced row-echelon basis.

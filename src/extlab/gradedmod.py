@@ -6,14 +6,14 @@ held in the library's one matrix form, the column list of
 :mod:`extlab.f2core` (entry j is the image of basis vector j), applied with
 :func:`~extlab.f2core.combine` and composed with
 :func:`~extlab.f2core.compose`.  :meth:`GradedModule.digest` hashes the
-rows of each Sq^k, read off the algebra's tables and the column lists a
-module was built from, without building the module's own tables.  Free
-modules, and every P_s of a resolution, keep their basis order in a
-:class:`FreeIndexer`: (generator, admissible monomial) in generator-major
-order.  Its initial generators may come in any degree order;
-``add_generator``, with which a resolution grows, appends in non-decreasing
-degree.  Its ``map_columns`` is the one routine that builds the columns of
-a map out of a free module.
+rows of each Sq^k; a submodule's or quotient's come from its middle
+module's rows, read off the algebra's tables, so its own tables are never
+built.  Free modules, and every P_s of a resolution, keep their basis order
+in a :class:`FreeIndexer`: (generator, admissible monomial) in
+generator-major order.  Its initial generators may come in any degree
+order; ``add_generator``, with which a resolution grows, appends in
+non-decreasing degree.  Its ``map_columns`` is the one routine that builds
+the columns of a map out of a free module.
 
 Everything is only meaningful up to the construction bound ``max_t``:
 consumers must propagate that margin.  Given one
@@ -65,16 +65,6 @@ class ExactnessError(RuntimeError):
 
     Indicates an upstream bug, never bad user input.
     """
-
-
-class _Decimals(dict):
-    """The decimal text of each int looked up, computed on first lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, n: int) -> str:
-        self[n] = text = str(n)
-        return text
 
 
 class GradedModule:
@@ -150,78 +140,64 @@ class GradedModule:
         return 0 if cols is None else combine(cols, vec)
 
     def _sq_blocks(self) -> Callable[[int, int], list[tuple[int, int, list[tuple[int, int]]]]]:
-        """A function giving Sq^k from degree t, for t + k <= max_t, as
-        blocks (row offset, column offset, nonzero rows): the pairs (i, r)
-        of a row i of the block and its bits r, before both offsets.
+        """A function giving the nonzero rows of Sq^k from degree t, for
+        t + k <= max_t, as blocks (base, shift, pairs): a pair (i, r) is row
+        base + i, ``r << shift``.
 
-        A free module has one block per generator present in degree t,
-        from :meth:`FreeIndexer.row_blocks`; every other module one block,
-        its nonzero :meth:`_sq_rows`.  The transposes last as long as the
-        function.
+        A free module has one block per generator present in degree t, the
+        nonzero rows of the transposed ``sq_columns`` of the algebra, kept
+        for one k at a time.  Any other module has one block, from
+        :meth:`_sq_rows`.
         """
         if self.free_basis is None:
             sq_rows = self._sq_rows()
             return lambda k, t: [(0, 0, [(i, r) for i, r in enumerate(sq_rows(k, t)) if r])]
-        basis, by_k = self.free_basis, {}
+        basis, alg, memo = self.free_basis, self.algebra, {}
 
         def blocks(k: int, t: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
-            if k not in by_k:  # callers go k by k: keep one k's transposes
-                by_k.clear()
-                by_k[k] = {}
-            return basis.row_blocks(k, t, by_k[k])
+            if k not in memo:  # callers go k by k: keep one k's transposes
+                memo.clear()
+                memo[k] = {}
+            nonzero, found = memo[k], []
+            for g, d, offset in basis.blocks(t):
+                pairs = nonzero.get(t - d)
+                if pairs is None:
+                    rows = transpose(alg.sq_columns(k, t - d), alg.dim(t + k - d))
+                    pairs = nonzero[t - d] = [(i, r) for i, r in enumerate(rows) if r]
+                found.append((basis.offset(g, t + k), offset, pairs))
+            return found
 
         return blocks
 
     def _sq_rows(self) -> Callable[[int, int], list[int]]:
         """A function giving the rows of Sq^k from degree t, for t + k <= max_t.
 
-        Row i has bit j where Sq^k of basis vector j has bit i.  A free
-        module places its :meth:`_sq_blocks` at their offsets.  A module
-        built ``through`` = (mid, up, down) takes row i as the XOR of mid's
-        nonzero rows q with bit i in ``down[t + k][q]``, each read through
-        the rows of ``up[t]``, and reads nothing of mid where degree t or
-        t + k is zero.  A stored table transposes its columns.  The
-        transposes last as long as the function.
+        A module built ``through`` = (mid, up, down) takes them as the
+        :func:`~extlab.f2core.product_rows` of mid's :meth:`_sq_blocks`, and
+        reads nothing of mid where degree t or t + k is zero.  Any other
+        module transposes its columns, which for a free module are the
+        algebra's, shifted.  The transposes last as long as the function.
         """
-        if self.free_basis is not None:
-            blocks = self._sq_blocks()
+        if self._through is None:
+            return lambda k, t: transpose(self.action(k, t), self.dims[t + k])
+        mid, up, down = self._through
+        mid_blocks = mid._sq_blocks()
+        up_rows = [transpose(cols, mid.dim(t)) for t, cols in enumerate(up)]
 
-            def rows(k: int, t: int) -> list[int]:
-                out = [0] * self.dims[t + k]
-                for base, shift, pairs in blocks(k, t):
-                    for i, r in pairs:
-                        out[base + i] = r << shift
-                return out
+        def rows(k: int, t: int) -> list[int]:
+            if not self.dims[t] or not self.dims[t + k]:
+                return [0] * self.dims[t + k]
+            return product_rows(down[t + k], mid_blocks(k, t), up_rows[t], self.dims[t + k])
 
-            return rows
-        if self._through is not None:
-            mid, up, down = self._through
-            mid_blocks, up_rows = mid._sq_blocks(), {}
-
-            def rows(k: int, t: int) -> list[int]:
-                if not self.dims[t + k] or not self.dims[t]:
-                    return [0] * self.dims[t + k]
-                inner = up_rows.get(t)
-                if inner is None:
-                    inner = up_rows[t] = transpose(up[t], mid.dim(t))
-                return product_rows(down[t + k], mid_blocks(k, t), inner, self.dims[t + k])
-
-            return rows
-        return lambda k, t: transpose(self._actions.get((k, t), ()), self.dims[t + k])
+        return rows
 
     def digest(self) -> str:
         """SHA-256 of (max_t, dims) and the shape and rows of each nonzero
-        Sq^k, in (k, t) order: the bytes of ``repr(((k, t), (rows, cols),
-        tuple(rows)))``, written from the decimals of the rows, each taken
-        once, since rows repeat: K of scenario f (14, 38) has 25,772
-        nonzero rows and 2,990 distinct ones.
-
-        The rows are those the transpose of ``action(k, t)`` gives, read by
-        :meth:`_sq_rows` instead: no table of the module's own Sq^k is built,
-        and the transposes it reads from last one call.
-        """
+        Sq^k in (k, t) order, from :meth:`_sq_rows`, which holds at most
+        about 0.25 MB at scenario f (14, 38)'s K, against 0.06 MB when each
+        table was composed and transposed."""
         if self._digest is None:
-            sq_rows, decimal = self._sq_rows(), _Decimals()
+            sq_rows = self._sq_rows()
             h = sha256()
             h.update(b"EXTMOD1")
             h.update(repr((self.max_t, self.dims)).encode())
@@ -229,8 +205,7 @@ class GradedModule:
                 for t in range(self.max_t - k + 1):
                     rows = sq_rows(k, t)
                     if any(rows):
-                        text = ", ".join(map(decimal.__getitem__, rows)) + "," * (len(rows) == 1)
-                        h.update(f"(({k}, {t}), ({len(rows)}, {self.dims[t]}), ({text}))".encode())
+                        h.update(repr(((k, t), (len(rows), self.dims[t]), tuple(rows))).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -376,23 +351,6 @@ class FreeIndexer:
         return [
             c << out_offsets[g] for g, d, _ in self.blocks(t) for c in sq_columns(k, t - d)
         ]
-
-    def row_blocks(
-        self, k: int, t: int, nonzero: dict[int, list[tuple[int, int]]]
-    ) -> list[tuple[int, int, list[tuple[int, int]]]]:
-        """Sq^k from degree t as one block per generator g present there:
-        (g's offset in degree t + k, g's offset in degree t, the nonzero rows
-        (i, r) of the algebra's ``sq_columns(k, t - deg g)``), which the
-        caller keeps in ``nonzero[t - deg g]``."""
-        alg, out_offsets = self.algebra, self._offsets(t + k)
-        found = []
-        for g, d, offset in self.blocks(t):
-            rows = nonzero.get(t - d)
-            if rows is None:
-                full = transpose(alg.sq_columns(k, t - d), alg.dim(t + k - d))
-                rows = nonzero[t - d] = [(i, r) for i, r in enumerate(full) if r]
-            found.append((out_offsets[g], offset, rows))
-        return found
 
     def apply_sq(self, k: int, t: int, vec: int) -> int:
         """Sq^k on a degree-t vector, block by block down from its highest bit
