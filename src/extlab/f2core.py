@@ -9,16 +9,16 @@ Conventions, fixed repo-wide:
   of basis vector ``j``: module actions and maps, differentials, chain
   lifts and boundary maps alike.  :func:`combine` applies one to a vector
   in O(popcount v) XORs, :func:`compose` multiplies two, and :func:`rank`
-  takes the columns as they are.  Module digests hash rows, which
-  :func:`transpose` reads off the algebra's tables and the column lists a
-  module was built from, and :func:`product_rows` carries through a
-  submodule or quotient.
+  takes the columns as they are.  :func:`transpose`, the one transpose,
+  gives the boundary maps' generator pairings and the rows module digests
+  hash, which :func:`product_rows` carries through a submodule or quotient.
 * The one elimination is :class:`EchelonAccumulator`, keyed by highest
   bit; on the graph vectors ``(c_j << n) | 1 << j`` of a column list it
   gives the image and a kernel basis (:func:`image_and_kernel`) and the
-  canonical solutions (:class:`Solver`).  :func:`reduced`, keyed by lowest
-  bit and back-substituted, is the one reduced-echelon routine.  The row-form
-  Gauss-Jordan they are tested against lives in ``tests/f2ref.py``.
+  canonical solutions of :class:`Solver`, the one solver (the chain lift
+  and p_I).  :func:`reduced`, keyed by lowest bit and back-substituted, is
+  the one reduced-echelon routine.  The row-form Gauss-Jordan they are
+  tested against lives in ``tests/f2ref.py``.
 * All outputs are canonical: a :class:`Subspace` holds the unique reduced
   row-echelon basis of its span, ``Solver.solve`` returns the unique
   solution supported on pivot columns, and quotient complements are
@@ -28,7 +28,6 @@ Conventions, fixed repo-wide:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 
@@ -114,26 +113,6 @@ class Subspace:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def coordinates(self, v: int) -> Optional[int]:
-        """Coefficients of v over the basis rows, or None if v is outside.
-
-        Each pivot column of the reduced basis holds a single 1, so the
-        coefficient of row i is v's bit at pivot i; v lies in the subspace
-        exactly when those coefficients recombine to v.  The set bits of v
-        are visited, so the cost follows popcount(v), not the rank.
-        """
-        pivots = self.pivots
-        coords = 0
-        rest = v
-        while rest:
-            low = rest & -rest
-            p = low.bit_length() - 1
-            i = bisect_left(pivots, p)
-            if i < len(pivots) and pivots[i] == p:
-                coords |= 1 << i
-            rest ^= low
-        return coords if combine(self.rows, coords) == v else None
 
     def __eq__(self, other) -> bool:
         return (

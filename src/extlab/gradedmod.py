@@ -47,6 +47,7 @@ except ImportError:
         from hashlib import sha256
 
 from .f2core import (
+    Solver,
     Subspace,
     combine,
     compose,
@@ -502,28 +503,29 @@ def quotient_map(mid: GradedModule, subs: Sequence[Subspace]) -> ModuleMap:
 def factor_map(f: ModuleMap) -> FactoredMap:
     """Degreewise kernel, image and cokernel of f, with induced actions.
 
-    Both short exact sequences are checked degree by degree, and the two
-    projections p_I and p_C for linearity over the generating squares
+    p_I solves each column of f over the reduced image basis (one
+    :class:`Solver` per degree; the rows are independent, so the solve is
+    unique).  Both short exact sequences are checked degree by degree, and
+    the projections p_I and p_C for linearity over the generating squares
     (:meth:`ModuleMap.check_linearity`).  That certifies the inclusions as
     well: ker p_I = K and ker p_C = I, so a linear projection makes its
     kernel closed under each Sq^(2^i), hence a submodule, on which
     :func:`inclusion_map`'s pivot read is exact and i_K and i_I are linear.
     """
     dom, cod = f.domain, f.codomain
-    bound = f.max_t
-    kers, imgs = [], []
-    for t in range(bound + 1):
+    kers, imgs, p_I_cols = [], [], []
+    for t in range(f.max_t + 1):
         image, kernel = image_and_kernel(f.columns[t], cod.dim(t))
         kers.append(reduced(kernel, dom.dim(t)))
         imgs.append(image.subspace(cod.dim(t)))
+        solve = Solver(imgs[t].rows, cod.dim(t)).solve
+        p_I_cols.append([solve(c) for c in f.columns[t]])
+        if None in p_I_cols[t]:
+            raise ExactnessError(f"a column of the map leaves its image at degree {t}")
     i_K = inclusion_map(dom, kers)
     i_I = inclusion_map(cod, imgs)
     p_C = quotient_map(cod, imgs)
-    p_I_cols = tuple([imgs[t].coordinates(c) for c in f.columns[t]] for t in range(bound + 1))
-    for t, cols in enumerate(p_I_cols):
-        if None in cols:
-            raise ExactnessError(f"a column of the map leaves its image at degree {t}")
-    p_I = ModuleMap(dom, i_I.domain, p_I_cols)
+    p_I = ModuleMap(dom, i_I.domain, tuple(p_I_cols))
     fac = FactoredMap(f, i_K.domain, i_I.domain, p_C.codomain, i_K, p_I, i_I, p_C)
     fac.kernel_sequence().check_exact()
     fac.cokernel_sequence().check_exact()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .f2core import Solver, combine, compose, rank as f2rank
+from .f2core import Solver, combine, compose, rank as f2rank, transpose
 from .gradedmod import ShortExactSequence
 from .resolve import ExtChart, Resolution
 
@@ -197,7 +197,8 @@ def connecting_map(lift: ChainLift) -> BoundaryMap:
 
     Minimality of both resolutions dualizes to vanishing differentials, so
     the class of phi o tau is just its generator pairing: bit h of column g
-    at (s, t) is the unit coefficient of sub-generator g in tau_{s+1}(h).
+    at (s, t) is the unit coefficient of sub-generator g in tau_{s+1}(h),
+    so column g is the row, at g's unit, of the transpose of those taus.
     """
     rs, rq = lift.res_sub, lift.res_quot
     bmap = BoundaryMap(rs.chart(), rq.chart(), rs.max_s - 1, rs.max_t)
@@ -207,11 +208,8 @@ def connecting_map(lift: ChainLift) -> BoundaryMap:
             src_gens, tgt_gens = rs.gens(s, t), rq.gens(s + 1, t)
             if not src_gens or not tgt_gens:
                 continue
-            taus = [lift.tau[s + 1][h] for h in tgt_gens]
-            units = [sub_idx.offset(g, t) for g in src_gens]
-            bmap.cols[(s, t)] = [
-                sum(((tau >> p) & 1) << i for i, tau in enumerate(taus)) for p in units
-            ]
+            rows = transpose([lift.tau[s + 1][h] for h in tgt_gens], sub_idx.dim(t))
+            bmap.cols[(s, t)] = [rows[sub_idx.offset(g, t)] for g in src_gens]
     return bmap
 
 

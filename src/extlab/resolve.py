@@ -162,7 +162,8 @@ class Resolution:
                     for j, p in units:
                         if c >> p & 1:
                             raise AssertionError(
-                                f"unit coefficient on generator {j} in d(g_{s},{g})"
+                                f"unit coefficient on generator {j} in d of generator {g}"
+                                f" at (s={s}, t={t})"
                             )
                     if s and combine(prev, c):
                         raise AssertionError(f"d o d != 0 on generator {g} at (s={s}, t={t})")

@@ -480,7 +480,14 @@ def _add_unit_coefficient(text):
 
 @pytest.mark.parametrize(
     "tamper, reason",
-    [(_tamper_coefficient, "d o d != 0"), (_add_unit_coefficient, "unit coefficient")],
+    [
+        (_tamper_coefficient, "d o d != 0"),
+        pytest.param(
+            _add_unit_coefficient,
+            "unit coefficient on generator 1 in d of generator 0 at (s=2, t=2)",
+            id="_add_unit_coefficient-unit coefficient",
+        ),
+    ],
 )
 def test_bad_cache_file_is_logged_and_recomputed(tamper, reason, capsys, caplog, tmp_path):
     assert reason in _logged_and_recomputed(F2_6_14, tamper, capsys, caplog, tmp_path)[1]

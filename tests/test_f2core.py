@@ -124,10 +124,12 @@ def test_quotient_examples():
 
 
 def test_subspace_coordinates_and_reduce():
+    """Coordinates over a reduced basis are a solve against its rows."""
     sub = subspace_from_rows([0b011, 0b110], 3)
-    assert sub.coordinates(0b101) is not None
-    assert sub.coordinates(0b001) is None
-    assert sub.coordinates(0b011) == 0b11
+    solver = Solver(sub.rows, 3)
+    assert solver.solve(0b101) is not None
+    assert solver.solve(0b001) is None
+    assert solver.solve(0b011) == 0b11
 
 
 def test_column_space_and_from_columns():
@@ -197,14 +199,19 @@ def subspaces_and_vectors(draw, max_dim=48):
     sub = subspace_from_rows(rows, n)
     inside = combine(sub.rows, draw(st.integers(0, (1 << sub.rank) - 1)))
     anywhere = draw(st.integers(0, (1 << n) - 1))
-    return sub, draw(st.sampled_from([inside, anywhere]))
+    free = [j for j in range(n) if j not in sub.pivots]
+    # a span vector is fixed by its pivot bits, so adding e_j off the pivots leaves the span
+    outside = [inside ^ 1 << draw(st.sampled_from(free))] if free else []
+    return sub, draw(st.sampled_from([inside, anywhere, *outside]))
 
 
 @given(subspaces_and_vectors())
 @settings(max_examples=300, deadline=None)
 def test_coordinates_match_reduction(sv):
+    """The rows of a reduced basis are independent, so ``Solver`` gives the
+    one combination of them that makes v, and None for v outside the span."""
     sub, v = sv
-    coords = sub.coordinates(v)
+    coords = Solver(sub.rows, sub.ambient_dim).solve(v)
     assert coords == _coordinates_by_reduction(sub, v)
     if coords is not None:
         assert combine(sub.rows, coords) == v

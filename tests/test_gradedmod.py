@@ -27,7 +27,7 @@ from extlab.gradedmod import (
 from extlab.oracle import reduce_word
 from extlab.scenarios import ScenarioSpec, scenario_map
 from extlab.steenrod import AlgebraTable
-from f2ref import BitMatrix, kernel_basis, subspace_from_rows
+from f2ref import BitMatrix, kernel_basis, solve, subspace_from_rows
 
 MAX_T = 14
 
@@ -338,9 +338,9 @@ def test_linearity_checked_over_every_generating_square(alg):
 def test_induced_actions_read_through_the_pivots(kind, n):
     """inclusion_map reads Sq^k at the pivots with no membership test, and
     factor_map checks linearity over the generating squares only.  On the
-    scenario maps the read equals ``Subspace.coordinates`` of each Sq^k v,
-    for every k, and the four maps of the factorization are linear over
-    every Sq^k."""
+    scenario maps the read equals the reference solve for the coordinates
+    of each Sq^k v, for every k, and the four maps of the factorization are
+    linear over every Sq^k."""
     max_t = 18
     fac = factor_map(scenario_map(ScenarioSpec(kind, 2, max_t, n), AlgebraTable(max_t)))
     for incl in (fac.i_K, fac.i_I):
@@ -349,9 +349,8 @@ def test_induced_actions_read_through_the_pivots(kind, n):
         assert [list(s.rows) for s in subs] == list(incl.columns)
         for k in range(1, max_t + 1):
             for t in range(max_t - k + 1):
-                reference = [
-                    subs[t + k].coordinates(mid.apply_sq(k, t, v)) for v in incl.columns[t]
-                ]
+                basis = BitMatrix.from_columns(subs[t + k].rows, mid.dim(t + k))
+                reference = [solve(basis, mid.apply_sq(k, t, v)) for v in incl.columns[t]]
                 assert sub.action(k, t) == reference, (k, t)
     for mp in (fac.i_K, fac.p_I, fac.i_I, fac.p_C):
         mp.check_linearity()
@@ -499,8 +498,9 @@ def _four_maps(f):
         kers.append(reduced(kernel, f.domain.dim(t)))
         imgs.append(image.subspace(f.codomain.dim(t)))
     i_K, i_I = inclusion_map(f.domain, kers), inclusion_map(f.codomain, imgs)
+    bases = [BitMatrix.from_columns(img.rows, img.ambient_dim) for img in imgs]
     p_I = ModuleMap(f.domain, i_I.domain, tuple(
-        [imgs[t].coordinates(c) for c in cols] for t, cols in enumerate(f.columns)
+        [solve(bases[t], c) for c in cols] for t, cols in enumerate(f.columns)
     ))
     return i_K, p_I, i_I, quotient_map(f.codomain, imgs)
 
